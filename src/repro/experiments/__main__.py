@@ -9,9 +9,10 @@ Usage::
 
 Figure names: fig01, fig06 ... fig14, record, hw.
 
-``--jobs N`` (default: the ``RNR_JOBS`` environment variable, else the CPU
-count) prewarms every requested figure's cell matrix across N worker
-processes before the reports render serially from the warm memo.
+``--jobs N`` (default: the ``RNR_JOBS`` environment variable, else the
+number of CPUs this process may run on) prewarms every requested figure's
+cell matrix across N worker processes before the reports render serially
+from the warm memo.
 ``--cache-dir DIR`` (default: ``RNR_CACHE_DIR``) persists finished cells
 on disk across invocations.  ``--trace-store DIR`` (default:
 ``RNR_TRACE_STORE``) persists the recorded workload traces themselves: a
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the sweep (default: $RNR_JOBS, else CPU count)",
+        help="worker processes for the sweep (default: $RNR_JOBS, else usable CPUs)",
     )
     parser.add_argument(
         "--cache-dir",

@@ -11,8 +11,8 @@ protocol (:mod:`.protocol`), with robustness as the headline:
 
 * **lease-based cell ownership** — a cell is leased to exactly one worker
   with an expiry; expired leases are reclaimed and re-dispatched;
-* **heartbeat liveness** — workers stream periodic heartbeats (the same
-  ``("tel", idx, payload)`` shape the supervised sweep uses); a worker
+* **heartbeat liveness** — workers stream periodic heartbeats (like the
+  supervised sweep's ``("tel", payload)`` messages); a worker
   that misses its beats is declared dead and its cells are re-queued;
 * **circuit-breaker quarantine** — a worker failing N consecutive cells
   is drained and benched; a cell that kills M distinct workers is marked

@@ -1,33 +1,25 @@
-"""Parallel sweep executor for the experiment cell matrix.
+"""Helpers the sweep executor shares with the CLI and the fabric.
 
-Nothing in the (app x input x prefetcher) matrix shares mutable state, so
-cells fan out cleanly across a :class:`~concurrent.futures.ProcessPoolExecutor`
-(the trace-driven methodology of the paper's ChampSim harness, where every
-cell is an independent simulator invocation).  Specs are grouped by
-(app, input) before dispatch so each worker builds a workload's traces once
-and reuses them for every prefetcher column of that row.  With a trace
-store configured (:mod:`repro.trace.store`), workers don't even build:
-they ``mmap`` the stored binary traces, and their store counters are
-rolled up into the coordinator's.
-
-Results are merged back into the coordinating
-:class:`~repro.experiments.runner.ExperimentRunner`'s memo dictionaries, so
-the figure modules run unchanged afterwards and hit only warm cells.
+Every (app, input, prefetcher) cell of the figure matrix is an independent
+simulation (the trace-driven methodology of the paper's ChampSim harness),
+and :func:`repro.experiments.supervise.run_supervised_sweep` runs them
+across worker processes.  This module holds what that executor, the CLI
+and the fabric coordinator share: the worker count (:func:`resolve_jobs`),
+the full cell matrix (:func:`full_matrix_specs`), and the filter that
+drops memoized, disk-cached and duplicate cells before dispatch
+(:func:`pending_specs`).
 
 Worker count resolution: explicit ``jobs`` argument, else the ``RNR_JOBS``
-environment variable, else ``os.cpu_count()``.  ``jobs=1`` (or a
-single-cell sweep) degrades to plain in-process simulation.
+environment variable, else the number of CPUs this process may run on.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 from repro.experiments.runner import (
     APPS,
-    CellResult,
     CellSpec,
     ExperimentRunner,
     inputs_for,
@@ -53,12 +45,16 @@ def _validate_jobs(value, source: str) -> int:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument > ``RNR_JOBS`` > ``os.cpu_count()``."""
+    """Worker count: explicit argument > ``RNR_JOBS`` > usable CPUs."""
     if jobs is not None:
         return _validate_jobs(jobs, "jobs")
     env = os.environ.get(JOBS_ENV, "").strip()
     if env:
         return _validate_jobs(env, JOBS_ENV)
+    if hasattr(os, "sched_getaffinity"):
+        # Under taskset or a cpuset-limited container this is fewer than
+        # os.cpu_count(), which would oversubscribe the usable CPUs.
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -74,61 +70,6 @@ def full_matrix_specs(runner: ExperimentRunner) -> List[CellSpec]:
     return specs
 
 
-# ----------------------------------------------------------------------
-# Worker side.  Each process builds its own ExperimentRunner once (via the
-# initializer) and keeps it in a module global, so successive groups for
-# the same worker reuse its memoized workloads and traces.
-# ----------------------------------------------------------------------
-_WORKER_RUNNER: Optional[ExperimentRunner] = None
-
-
-def _init_worker(
-    scale: str,
-    iterations: int,
-    window_size: int,
-    config,
-    seed: int,
-    cache_dir,
-    telemetry=None,
-    trace_store=None,
-) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = ExperimentRunner(
-        scale=scale,
-        iterations=iterations,
-        window_size=window_size,
-        config=config,
-        seed=seed,
-        cache_dir=cache_dir,
-        telemetry=telemetry,
-        trace_store=trace_store,
-    )
-
-
-def _run_group(specs: Tuple[CellSpec, ...]):
-    """Simulate one (app, input) group; returns the (spec, result) pairs
-    plus this group's trace-store counter delta for coordinator roll-up."""
-    assert _WORKER_RUNNER is not None, "pool worker used before initialization"
-    store = _WORKER_RUNNER.trace_store
-    snapshot = store.counters() if store is not None else None
-    pairs = [(spec, _WORKER_RUNNER.run_spec(spec)) for spec in specs]
-    delta = store.counters_since(snapshot) if store is not None else None
-    return pairs, delta
-
-
-# ----------------------------------------------------------------------
-# Coordinator side.
-# ----------------------------------------------------------------------
-def _group_by_input(
-    specs: Sequence[CellSpec],
-) -> List[Tuple[CellSpec, ...]]:
-    """Group specs by (app, input) so one worker reuses one trace set."""
-    groups: Dict[Tuple[str, str], List[CellSpec]] = {}
-    for spec in specs:
-        groups.setdefault((spec.app, spec.input_name), []).append(spec)
-    return [tuple(group) for group in groups.values()]
-
-
 def pending_specs(
     runner: ExperimentRunner, specs: Iterable[CellSpec]
 ) -> List[CellSpec]:
@@ -136,8 +77,7 @@ def pending_specs(
 
     Memoized and duplicate cells are dropped; disk-cached cells are loaded
     into the runner's memo here, so a fully warm sweep dispatches no work.
-    Shared by the plain executor below and the supervised one in
-    :mod:`repro.experiments.supervise`.
+    Shared by the sweep executor and the fabric coordinator.
     """
     pending: List[CellSpec] = []
     seen = set()
@@ -162,58 +102,3 @@ def pending_specs(
         seen.add(key)
         pending.append(spec)
     return pending
-
-
-def run_sweep(
-    runner: ExperimentRunner,
-    specs: Optional[Iterable[CellSpec]] = None,
-    jobs: Optional[int] = None,
-) -> int:
-    """Simulate ``specs`` (default: the full matrix) with ``jobs`` workers.
-
-    Already-memoized cells are skipped; everything else is simulated —
-    in parallel when ``jobs > 1`` — and merged into ``runner``'s memo
-    dicts.  Returns the number of newly simulated cells.
-
-    This is the *unsupervised* fast path: any worker failure aborts the
-    sweep.  For timeouts, retries, crash isolation, and the resumable
-    manifest, use :func:`repro.experiments.supervise.run_supervised_sweep`.
-    """
-    if specs is None:
-        specs = full_matrix_specs(runner)
-    pending = pending_specs(runner, specs)
-    if not pending:
-        return 0
-
-    jobs = resolve_jobs(jobs)
-    if jobs == 1 or len(pending) == 1:
-        for spec in pending:
-            runner.run_spec(spec)
-        return len(pending)
-
-    groups = _group_by_input(pending)
-    cache_dir = runner.cache.root if runner.cache is not None else None
-    store_dir = runner.trace_store.root if runner.trace_store is not None else None
-    init_args = (
-        runner.scale,
-        runner.iterations,
-        runner.window_size,
-        runner.config,
-        runner.seed,
-        cache_dir,
-        runner.telemetry,
-        store_dir,
-    )
-    merged = 0
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(groups)),
-        initializer=_init_worker,
-        initargs=init_args,
-    ) as executor:
-        for pairs, store_delta in executor.map(_run_group, groups):
-            for spec, result in pairs:
-                runner.merge_result(spec, result)
-                merged += 1
-            if store_delta is not None and runner.trace_store is not None:
-                runner.trace_store.merge_counters(store_delta)
-    return merged

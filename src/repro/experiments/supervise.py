@@ -1,21 +1,21 @@
-"""Fault-tolerant supervision for the parallel experiment sweep.
+"""The sweep executor: the cell matrix across supervised worker processes.
 
-:mod:`repro.experiments.pool` fans the (app x input x prefetcher) cell
-matrix out across worker processes, but a plain pool is brittle: one
-worker exception, hang, or OOM kill aborts the whole sweep and discards
-every finished cell.  This module wraps the same cell matrix in the
+Nothing in the (app x input x prefetcher) matrix shares mutable state, so
+cells fan out across worker processes.  A plain process pool is brittle,
+though: one worker exception, hang, or OOM kill aborts the whole sweep
+and discards every finished cell.  This module runs the matrix under the
 supervision discipline of a long-running serving stack:
 
 * **per-cell wall-clock timeouts** (``cell_timeout`` argument,
   ``--cell-timeout`` flag, or ``RNR_CELL_TIMEOUT``) — a hung worker is
-  killed and only its current cell is charged;
+  killed and only its cell is charged;
 * **bounded retries with exponential backoff + jitter**
   (:class:`RetryPolicy`) for transient failures (timeouts, crashes,
   cache corruption); deterministic errors fail immediately;
 * **crash isolation** — each worker is a separate process with its own
   result pipe; a dead worker (exception we never saw, signal, OOM kill)
-  fails only the cell it was running, its undispatched cells are
-  requeued, and a replacement worker is spawned;
+  fails only the cell it was running, and a replacement worker is
+  spawned;
 * a **sweep manifest** (:class:`SweepManifest`) — a JSON file written
   atomically after every event, recording per-cell status / attempts /
   duration / failure, which ``resume=True`` uses to skip finished cells
@@ -24,9 +24,14 @@ supervision discipline of a long-running serving stack:
   deterministic error / cache corruption) and a structured end-of-sweep
   report (:meth:`SweepReport.render`).
 
-Workers stream one message per cell, so results finished before a fault
-are always kept.  Cells are dispatched in (app, input) groups so a worker
-still builds each workload's traces once, as in the plain pool.
+A worker is given one cell at a time and answers with one result
+message, so results finished before a fault are always kept and every
+worker stays busy while cells remain.  An idle worker takes the cell
+:func:`pick_cell` chooses: one of a workload it has already run (whose
+traces its runner holds), else one of a workload no worker holds, else
+the head of the queue.  Workers therefore start on distinct (app, input)
+pairs, and a worker takes up another worker's workload only when no cell
+of its own or of an unstarted workload is ready.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.experiments import faults as faults_mod
-from repro.experiments.pool import pending_specs, resolve_jobs
+from repro.experiments.pool import full_matrix_specs, pending_specs, resolve_jobs
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.telemetry.sweep import SweepTelemetry
 
@@ -213,6 +218,12 @@ class SweepReport:
     dead_workers: int = 0
     #: Workers drained by the consecutive-failure circuit breaker.
     benched_workers: int = 0
+    # ----- single-box supervised sweeps only -----
+    #: Worker seconds of every simulated or permanently failed cell,
+    #: summed over its attempts (cell id -> seconds).
+    cell_seconds: Dict[str, float] = field(default_factory=dict)
+    #: Worker processes the sweep ran side by side.
+    workers: int = 0
 
     @property
     def ok(self) -> bool:
@@ -256,6 +267,17 @@ class SweepReport:
                 f"{counters.get('stores', 0)} stores, "
                 f"{counters.get('corrupt', 0)} corrupt, "
                 f"{counters.get('races', 0)} races"
+            )
+        if self.cell_seconds:
+            slowest = sorted(
+                self.cell_seconds.items(), key=lambda item: (-item[1], item[0])
+            )
+            capacity = self.workers * self.duration
+            busy = sum(self.cell_seconds.values()) / capacity if capacity else 0.0
+            header += (
+                "\nslowest cells: "
+                + ", ".join(f"{cell} {seconds:.1f}s" for cell, seconds in slowest[:3])
+                + f"; workers {busy:.0%} busy"
             )
         if not self.failures:
             return header
@@ -438,57 +460,42 @@ def default_manifest_path(runner: ExperimentRunner) -> Optional[Path]:
 # Worker side
 # ----------------------------------------------------------------------
 def _worker_main(conn, init_kwargs: dict, fault_plan: dict) -> None:
-    """One supervised worker: receive (spec, attempt) groups, stream one
-    message per cell, repeat until told to stop."""
+    """One supervised worker: receive one (spec, attempt) cell at a time,
+    answer with a start and a result message, repeat until told to stop."""
     runner = ExperimentRunner(**init_kwargs)
     plan = faults_mod.FaultPlan(fault_plan)
     if runner.telemetry is not None:
         # Live progress: the interval sampler calls this (wall-clock
-        # throttled) and the payload rides the existing result pipe as a
-        # ("tel", cell_index, payload) message.
-        current_cell = {"index": -1}
-
-        def _heartbeat(payload, _conn=conn, _current=current_cell):
+        # throttled) and the payload rides the result pipe as a
+        # ("tel", payload) message about the cell in flight.
+        def _heartbeat(payload, _conn=conn):
             try:
-                _conn.send(("tel", _current["index"], payload))
+                _conn.send(("tel", payload))
             except (OSError, BrokenPipeError, ValueError):
                 pass
 
         runner.telemetry.heartbeat = _heartbeat
-    else:
-        current_cell = None
     store = runner.trace_store
     try:
         while True:
-            group = conn.recv()
-            if group is None:
+            cell = conn.recv()
+            if cell is None:
                 return
+            spec, attempt = cell
+            conn.send(("start",))
             snapshot = store.counters() if store is not None else None
-            for index, (spec, attempt) in enumerate(group):
-                if current_cell is not None:
-                    current_cell["index"] = index
-                conn.send(("start", index))
-                began = time.perf_counter()
-                try:
-                    plan.fire(cell_id(spec), attempt)
-                    result = runner.run_spec(spec)
-                except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-                    conn.send(
-                        (
-                            "err",
-                            index,
-                            type(exc).__name__,
-                            f"{type(exc).__name__}: {exc}"[:500],
-                            time.perf_counter() - began,
-                        )
-                    )
-                else:
-                    conn.send(("ok", index, result, time.perf_counter() - began))
-            # The group's trace-store counter delta rides the completion
-            # message so the coordinator can aggregate across workers (a
-            # crashed worker's delta is lost with it — best effort).
+            began = time.perf_counter()
+            try:
+                plan.fire(cell_id(spec), attempt)
+                outcome = ("ok", runner.run_spec(spec))
+            except BaseException as exc:  # noqa: BLE001 — reported, not hidden
+                name = type(exc).__name__
+                outcome = ("err", name, f"{name}: {exc}"[:500])
+            # The cell's trace-store counter delta rides its result so the
+            # coordinator can aggregate across workers (a crashed worker's
+            # delta is lost with it — best effort).
             delta = store.counters_since(snapshot) if store is not None else None
-            conn.send(("group_done", delta))
+            conn.send((*outcome, time.perf_counter() - began, delta))
     except (EOFError, OSError, KeyboardInterrupt):
         return
 
@@ -506,22 +513,32 @@ class _Worker:
         )
         self.proc.start()
         child_conn.close()
-        self.group: List[Tuple[CellSpec, int]] = []
-        self.started: int = -1  # highest cell index a "start" was seen for
-        self.finished: int = -1  # highest cell index a result was seen for
+        #: The cell in flight, None while idle.
+        self.cell: Optional[_CellState] = None
+        #: (app, input) pairs this worker has been given; its runner holds
+        #: their workloads and traces.
+        self.pairs: Set[Tuple[str, str]] = set()
         self.deadline: Optional[float] = None
-        self.busy = False
 
-    def assign(self, group: List[Tuple[CellSpec, int]], timeout: Optional[float]) -> None:
-        self.group = group
-        self.started = -1
-        self.finished = -1
-        self.busy = True
-        self.deadline = (time.monotonic() + timeout) if timeout else None
-        self.conn.send(group)
+    @property
+    def busy(self) -> bool:
+        return self.cell is not None
 
-    def refresh_deadline(self, timeout: Optional[float]) -> None:
+    def assign(self, state: _CellState) -> None:
+        """Send one cell.  Its timeout is armed by :meth:`arm` when the
+        worker reports the start, so forking the worker and building its
+        runner never count against the cell."""
+        self.conn.send((state.spec, state.attempts + 1))
+        self.cell = state
+        self.pairs.add((state.spec.app, state.spec.input_name))
+
+    def arm(self, timeout: Optional[float]) -> None:
         self.deadline = (time.monotonic() + timeout) if timeout else None
+
+    def release(self) -> _CellState:
+        """Take back the cell in flight: it finished, failed or is charged."""
+        state, self.cell, self.deadline = self.cell, None, None
+        return state
 
     def alive(self) -> bool:
         return self.proc.is_alive()
@@ -580,6 +597,27 @@ class _CellState:
         self.elapsed = 0.0
 
 
+def pick_cell(
+    ready: List[Tuple[str, str]], own: Set[Tuple[str, str]], held: Set[Tuple[str, str]]
+) -> int:
+    """Index of the ready cell an idle worker runs next.
+
+    ``ready`` lists the (app, input) pair of each ready cell in queue
+    order, ``own`` the pairs this worker has run and ``held`` the pairs
+    any live worker has run.  The first cell of one of the worker's own
+    pairs wins, since its runner already holds that workload's traces;
+    then the first cell of a pair no worker holds, so that workers spread
+    over workloads; then the head of the queue.
+    """
+    unheld = None
+    for index, pair in enumerate(ready):
+        if pair in own:
+            return index
+        if unheld is None and pair not in held:
+            unheld = index
+    return 0 if unheld is None else unheld
+
+
 def run_supervised_sweep(
     runner: ExperimentRunner,
     specs: Optional[Iterable[CellSpec]] = None,
@@ -597,8 +635,6 @@ def run_supervised_sweep(
     runner via :meth:`ExperimentRunner.mark_failed`, in the manifest, and
     in the returned :class:`SweepReport`.
     """
-    from repro.experiments.pool import full_matrix_specs
-
     began = time.monotonic()
     policy = policy if policy is not None else RetryPolicy()
     cell_timeout = resolve_cell_timeout(cell_timeout)
@@ -651,6 +687,7 @@ def run_supervised_sweep(
     # ------------------------------------------------------------------
     ready: List[_CellState] = [_CellState(spec) for spec in pending]
     delayed: List[Tuple[float, _CellState]] = []
+    report.workers = min(jobs, len(pending))
 
     cache_dir = runner.cache.root if runner.cache is not None else None
     init_kwargs = dict(
@@ -667,7 +704,7 @@ def run_supervised_sweep(
     )
     fault_plan = dict(faults or {})
     workers: List[_Worker] = []
-    next_wid = [0]
+    next_wid = 0
     sweep_tel = (
         SweepTelemetry(runner.telemetry.root) if runner.telemetry is not None else None
     )
@@ -681,8 +718,10 @@ def run_supervised_sweep(
         state.elapsed += duration
         runner.merge_result(state.spec, result)
         report.simulated += 1
+        name = cell_id(state.spec)
+        report.cell_seconds[name] = state.elapsed
         if manifest is not None:
-            manifest.mark_done(cell_id(state.spec), state.attempts, state.elapsed)
+            manifest.mark_done(name, state.attempts, state.elapsed)
         save_manifest()
 
     def fail_or_retry(state: _CellState, kind: str, message: str, duration: float) -> None:
@@ -696,93 +735,71 @@ def run_supervised_sweep(
         name = cell_id(state.spec)
         failure = CellFailure(name, kind, state.attempts, message, state.elapsed)
         report.failures.append(failure)
+        report.cell_seconds[name] = state.elapsed
         runner.mark_failed(state.spec, f"{kind}: {message}")
         if manifest is not None:
             manifest.mark_failed(name, kind, message, state.attempts, state.elapsed)
         save_manifest()
 
-    # Map a dispatched group back to its _CellStates: the pipe carries
-    # specs; the supervisor keeps the states alongside per worker.
-    group_states: Dict[int, List[_CellState]] = {}
-
-    def handle_message(
-        worker: _Worker, batch: List[_CellState], message, refresh: bool = False
-    ) -> None:
-        """Apply one worker pipe message (shared by the live loop and the
-        post-mortem drain; ``refresh`` extends the timeout deadline)."""
+    def handle_message(worker: _Worker, message) -> None:
+        """Apply one message about the worker's cell in flight."""
+        state = worker.cell
         tag = message[0]
         if tag == "start":
-            worker.started = message[1]
+            worker.arm(cell_timeout)
             if sweep_tel is not None:
-                state = batch[message[1]]
                 sweep_tel.cell_started(
                     worker.wid, cell_id(state.spec), state.attempts + 1
                 )
-            if refresh:
-                worker.refresh_deadline(cell_timeout)
-        elif tag == "tel":
+            return
+        if tag == "tel":
             if sweep_tel is not None:
-                sweep_tel.cell_heartbeat(
-                    worker.wid, cell_id(batch[message[1]].spec), message[2]
-                )
-        elif tag == "ok":
-            _, index, result, duration = message
-            state = batch[index]
+                sweep_tel.cell_heartbeat(worker.wid, cell_id(state.spec), message[1])
+            return
+        worker.release()
+        if tag == "ok":
+            _, result, duration, delta = message
             complete(state, result, duration)
-            if sweep_tel is not None:
-                sweep_tel.cell_finished(
-                    worker.wid, cell_id(state.spec), "done", state.attempts, duration
-                )
-            worker.finished = index
-            if refresh:
-                worker.refresh_deadline(cell_timeout)
-        elif tag == "err":
-            _, index, exc_name, text, duration = message
-            state = batch[index]
+            status, text = "done", ""
+        else:
+            _, exc_name, text, duration, delta = message
             fail_or_retry(state, classify_exception(exc_name), text, duration)
-            if sweep_tel is not None:
-                sweep_tel.cell_finished(
-                    worker.wid, cell_id(state.spec), "failed", state.attempts,
-                    duration, text,
-                )
-            worker.finished = index
-            if refresh:
-                worker.refresh_deadline(cell_timeout)
-        elif tag == "group_done":
-            if (
-                len(message) > 1
-                and message[1] is not None
-                and runner.trace_store is not None
-            ):
-                runner.trace_store.merge_counters(message[1])
-            worker.busy = False
-            worker.group = []
-            group_states.pop(id(worker), None)
+            status = "failed"
+        if delta is not None and runner.trace_store is not None:
+            runner.trace_store.merge_counters(delta)
+        if sweep_tel is not None:
+            sweep_tel.cell_finished(
+                worker.wid, cell_id(state.spec), status, state.attempts, duration, text
+            )
 
-    def drain(worker: _Worker, batch: List[_CellState]) -> None:
+    def drain(worker: _Worker) -> None:
         """Consume every message a (possibly dead) worker already sent, so
         results that completed before a fault are never discarded."""
         try:
             while worker.conn.poll():
-                handle_message(worker, batch, worker.conn.recv())
+                handle_message(worker, worker.conn.recv())
         except (EOFError, OSError):
             pass
 
-    def dispatch(worker: _Worker) -> bool:
-        """Send the idle worker all ready cells sharing the first ready
-        cell's (app, input), so it builds that workload's traces once."""
-        if not ready:
-            return False
-        key = (ready[0].spec.app, ready[0].spec.input_name)
-        batch = [s for s in ready if (s.spec.app, s.spec.input_name) == key]
-        ready[:] = [s for s in ready if s not in batch]
+    def charge(worker: _Worker, kind: str, message: str) -> None:
+        """Fail or retry the cell of a killed or dead worker."""
+        state = worker.release()
+        if sweep_tel is not None:
+            sweep_tel.cell_finished(
+                worker.wid, cell_id(state.spec), kind, state.attempts + 1, 0.0,
+                f"worker {kind}",
+            )
+        fail_or_retry(state, kind, message, 0.0)
+
+    def dispatch(worker: _Worker) -> None:
+        """Send the idle worker the ready cell :func:`pick_cell` chooses."""
+        held = set().union(*(w.pairs for w in workers if w.alive()))
+        pairs = [(state.spec.app, state.spec.input_name) for state in ready]
+        state = ready.pop(pick_cell(pairs, worker.pairs, held))
         try:
-            worker.assign([(s.spec, s.attempts + 1) for s in batch], cell_timeout)
+            worker.assign(state)
         except (OSError, BrokenPipeError):
-            ready.extend(batch)
-            return False
-        group_states[id(worker)] = batch
-        return True
+            ready.append(state)
 
     # SIGTERM (systemd stop, container eviction, fabric drain) behaves
     # like Ctrl-C: stop dispatching, reap workers, flush the manifest,
@@ -809,14 +826,13 @@ def run_supervised_sweep(
                     delayed[:] = [item for item in delayed if item[0] > now]
                     ready.extend(state for _, state in due)
 
-            # Keep enough live workers, dispatch to idle ones.
-            alive = [w for w in workers if w.alive() or w.busy]
-            for worker in list(alive):
-                if not worker.busy and ready and worker.alive():
+            # Dispatch to idle workers, then start workers up to ``jobs``.
+            for worker in workers:
+                if ready and not worker.busy and worker.alive():
                     dispatch(worker)
             while ready and sum(1 for w in workers if w.alive()) < jobs:
-                worker = _Worker(init_kwargs, fault_plan, next_wid[0])
-                next_wid[0] += 1
+                worker = _Worker(init_kwargs, fault_plan, next_wid)
+                next_wid += 1
                 workers.append(worker)
                 dispatch(worker)
 
@@ -839,56 +855,39 @@ def run_supervised_sweep(
                             _POLL_SECONDS, max(0.0, min(deadlines) - time.monotonic())
                         )
                 for conn in connection_wait(list(conns), timeout=timeout):
-                    worker = conns[conn]
-                    try:
-                        while worker.conn.poll():
-                            message = worker.conn.recv()
-                            batch = group_states.get(id(worker), [])
-                            handle_message(worker, batch, message, refresh=True)
-                    except (EOFError, OSError):
-                        pass  # death handled below
+                    drain(conns[conn])  # a death is handled below
 
-            # Timeouts: kill the worker, charge the in-flight cell.
-            for worker in [w for w in workers if w.busy]:
+            # Timeouts: kill the worker, charge its cell.
+            for worker in busy:
                 if (
                     worker.deadline is not None
                     and time.monotonic() > worker.deadline
                     and worker.alive()
                 ):
-                    batch = group_states.pop(id(worker), [])
-                    drain(worker, batch)
+                    drain(worker)
                     worker.kill()
                     if worker.busy:
-                        _close_reaped_span(sweep_tel, worker, batch, "timeout")
-                        _reap_states(
+                        charge(
                             worker,
-                            batch,
                             FailureKind.TIMEOUT,
                             f"exceeded cell timeout of {cell_timeout}s",
-                            fail_or_retry,
-                            ready,
                         )
 
-            # Crashes: a busy worker whose process died without reporting.
-            for worker in [w for w in workers if w.busy]:
-                if not worker.alive():
-                    # Drain anything it managed to send before dying.
-                    batch = group_states.pop(id(worker), [])
-                    drain(worker, batch)
-                    if worker.busy:
-                        _close_reaped_span(sweep_tel, worker, batch, "crash")
-                        _reap_states(
-                            worker,
-                            batch,
-                            FailureKind.CRASH,
-                            f"worker process died (exit {worker.proc.exitcode})",
-                            fail_or_retry,
-                            ready,
-                        )
-                    try:
-                        worker.conn.close()
-                    except OSError:
-                        pass
+            # Deaths: keep what the worker sent before dying, charge its
+            # cell if it had one, and let a replacement take its slot.
+            for worker in [w for w in workers if not w.alive()]:
+                drain(worker)
+                if worker.busy:
+                    charge(
+                        worker,
+                        FailureKind.CRASH,
+                        f"worker process died (exit {worker.proc.exitcode})",
+                    )
+                try:
+                    worker.conn.close()
+                except OSError:
+                    pass
+                workers.remove(worker)
     except KeyboardInterrupt:
         # Graceful drain: everything already committed stays committed
         # (the manifest is flushed after every event); lingering workers
@@ -922,44 +921,3 @@ def run_supervised_sweep(
     if sweep_tel is not None:
         sweep_tel.write(report)
     return report
-
-
-def _close_reaped_span(
-    sweep_tel: Optional[SweepTelemetry],
-    worker: _Worker,
-    batch: List[_CellState],
-    status: str,
-) -> None:
-    """Record the end of a killed/dead worker's in-flight cell span."""
-    if sweep_tel is None:
-        return
-    if worker.finished < worker.started < len(batch):
-        state = batch[worker.started]
-        sweep_tel.cell_finished(
-            worker.wid,
-            cell_id(state.spec),
-            status,
-            state.attempts + 1,
-            0.0,
-            f"worker {status}",
-        )
-
-
-def _reap_states(
-    worker: _Worker,
-    batch: List[_CellState],
-    kind: str,
-    message: str,
-    fail_or_retry,
-    ready: List[_CellState],
-) -> None:
-    """Charge the in-flight cell of a dead worker; requeue the rest."""
-    for index, state in enumerate(batch):
-        if index <= worker.finished:
-            continue  # already accounted
-        if index <= worker.started:
-            fail_or_retry(state, kind, message, 0.0)
-        else:
-            ready.append(state)
-    worker.busy = False
-    worker.group = []

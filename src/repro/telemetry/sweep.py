@@ -2,7 +2,7 @@
 
 The supervised sweep already streams one message per cell over each
 worker's pipe; when telemetry is enabled the workers additionally stream
-``("tel", index, payload)`` heartbeats emitted by their runs' interval
+``("tel", payload)`` heartbeats emitted by their runs' interval
 samplers.  :class:`SweepTelemetry` records all of it with wall-clock
 timestamps and writes, at the end of the sweep:
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import pool
 from repro.experiments.runner import CellSpec, ExperimentRunner
+from repro.experiments.supervise import run_supervised_sweep
 from repro.rnr.replayer import ControlMode
 
 SPECS = [
@@ -33,7 +34,23 @@ class TestResolveJobs:
 
     def test_cpu_count_default(self, monkeypatch):
         monkeypatch.delenv(pool.JOBS_ENV, raising=False)
-        assert pool.resolve_jobs() == (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert pool.resolve_jobs() == len(os.sched_getaffinity(0))
+        else:
+            assert pool.resolve_jobs() == (os.cpu_count() or 1)
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        # taskset / a cpuset-limited container: one usable CPU of many.
+        monkeypatch.delenv(pool.JOBS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert pool.resolve_jobs() == 1
+
+    def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delenv(pool.JOBS_ENV, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pool.resolve_jobs() == 3
 
     def test_rejects_nonpositive(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -65,11 +82,15 @@ class TestResolveJobs:
 
 
 class TestRunSweep:
+    """The sweep executor, fed by this module's helpers."""
+
     def test_parallel_matches_serial(self):
         serial = _runner()
-        assert pool.run_sweep(serial, SPECS, jobs=1) == len(SPECS)
+        for spec in SPECS:
+            serial.run_spec(spec)
         parallel = _runner()
-        assert pool.run_sweep(parallel, SPECS, jobs=2) == len(SPECS)
+        report = run_supervised_sweep(parallel, SPECS, jobs=2)
+        assert report.ok and report.simulated == len(SPECS)
         for spec in SPECS:
             a = serial.run_spec(spec)
             b = parallel.run_spec(spec)
@@ -78,27 +99,19 @@ class TestRunSweep:
 
     def test_merged_cells_feed_the_memo(self):
         runner = _runner()
-        pool.run_sweep(runner, SPECS[:2], jobs=2)
+        run_supervised_sweep(runner, SPECS[:2], jobs=2)
         key = runner._result_key("pagerank", "urand", "nextline", None, None)
         assert key in runner._results
 
     def test_sweep_skips_memoized_cells(self):
         runner = _runner()
         runner.run_spec(SPECS[0])
-        assert pool.run_sweep(runner, SPECS[:2], jobs=1) == 1
-        assert pool.run_sweep(runner, SPECS[:2], jobs=1) == 0
+        assert run_supervised_sweep(runner, SPECS[:2], jobs=1).simulated == 1
+        assert run_supervised_sweep(runner, SPECS[:2], jobs=1).simulated == 0
 
     def test_duplicate_specs_run_once(self):
         runner = _runner()
-        assert pool.run_sweep(runner, [SPECS[0], SPECS[0]], jobs=1) == 1
-
-    def test_group_by_input_reuses_traces(self):
-        groups = pool._group_by_input(SPECS)
-        keys = [(g[0].app, g[0].input_name) for g in groups]
-        assert len(keys) == len(set(keys))
-        assert sum(len(g) for g in groups) == len(SPECS)
-        for group in groups:
-            assert len({(s.app, s.input_name) for s in group}) == 1
+        assert run_supervised_sweep(runner, [SPECS[0], SPECS[0]], jobs=1).simulated == 1
 
     def test_full_matrix_covers_every_cell(self):
         runner = _runner()

@@ -2,6 +2,7 @@
 manifest checkpointing, and resume."""
 
 import json
+import os
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.experiments.supervise import (
     SweepReport,
     cell_id,
     classify_exception,
+    pick_cell,
     resolve_cell_timeout,
     run_supervised_sweep,
     runner_fingerprint,
@@ -113,6 +115,85 @@ class TestSweepReport:
         assert "2 failed" in text
         assert text.index("a/x/rnr") < text.index("b/y/rnr")
         assert "attempts=3" in text
+
+    def test_render_names_slowest_cells_and_busy_share(self):
+        report = SweepReport(simulated=4, duration=10.0, workers=2)
+        report.cell_seconds.update(
+            {"a/x/baseline": 1.0, "a/x/rnr": 6.0, "b/y/rnr": 4.0, "b/y/baseline": 5.0}
+        )
+        lines = report.render().splitlines()
+        assert lines == [
+            "sweep: 4 simulated, 0 warm, 0 resumed, 0 retries, 0 failed in 10.0s",
+            "slowest cells: a/x/rnr 6.0s, b/y/baseline 5.0s, b/y/rnr 4.0s; "
+            "workers 80% busy",
+        ]
+
+    def test_render_omits_cell_line_when_nothing_ran(self):
+        assert "slowest cells" not in SweepReport(skipped=3).render()
+
+
+class TestPickCell:
+    """The dispatch rule: the worker's own (app, input) pair, then a pair
+    no worker holds, then the head of the queue."""
+
+    A = ("pagerank", "urand")
+    B = ("pagerank", "amazon")
+    C = ("spcg", "bbmat")
+
+    def test_own_pair_first(self):
+        ready = [self.A, self.B, self.C]
+        assert pick_cell(ready, own={self.C}, held={self.A, self.C}) == 2
+
+    def test_then_a_pair_no_worker_holds(self):
+        assert pick_cell([self.A, self.A, self.B], own=set(), held={self.A}) == 2
+
+    def test_then_the_queue_head(self):
+        held = {self.A, self.B, self.C}
+        assert pick_cell([self.B, self.A], own={self.C}, held=held) == 0
+
+    def test_fresh_workers_start_on_distinct_pairs(self):
+        ready = [self.A, self.A, self.B, self.B]
+        first = ready.pop(pick_cell(ready, own=set(), held=set()))
+        second = ready.pop(pick_cell(ready, own=set(), held={first}))
+        assert (first, second) == (self.A, self.B)
+
+    def test_retried_cell_goes_through_the_same_rule(self):
+        # A retry re-enters at the back of the queue.  The worker that
+        # holds its pair takes it ahead of the head...
+        assert pick_cell([self.B, self.A], own={self.A}, held={self.A, self.B}) == 1
+        # ...and once that worker died (its pairs are no longer held), a
+        # fresh replacement takes it as an unheld pair.
+        assert pick_cell([self.B, self.A], own=set(), held={self.B}) == 1
+
+
+class TestCellDispatch:
+    def test_one_pair_spreads_over_both_workers(self, tmp_path, monkeypatch):
+        """A single (app, input) at jobs=2 runs on two worker processes."""
+        specs = [
+            CellSpec("pagerank", "amazon", name)
+            for name in ("baseline", "nextline", "stems", "rnr")
+        ]
+
+        class PidRecordingRunner(ExperimentRunner):
+            def run_spec(self, spec):
+                with open(tmp_path / str(os.getpid()), "a") as fh:
+                    fh.write(cell_id(spec) + "\n")
+                return super().run_spec(spec)
+
+        # Workers build supervise.ExperimentRunner and inherit it by fork.
+        monkeypatch.setattr(supervise, "ExperimentRunner", PidRecordingRunner)
+        runner = _runner()
+        report = run_supervised_sweep(runner, specs, jobs=2)
+        assert report.ok
+        logs = {int(path.name): path.read_text().split() for path in tmp_path.iterdir()}
+        assert len(logs) == 2 and os.getpid() not in logs
+        assert sorted(sum(logs.values(), [])) == sorted(cell_id(s) for s in specs)
+        assert report.workers == 2
+        assert set(report.cell_seconds) == {cell_id(s) for s in specs}
+
+        serial = _runner()
+        for spec in specs:
+            assert runner.run_spec(spec).stats == serial.run_spec(spec).stats
 
 
 class TestManifest:
@@ -339,19 +420,19 @@ class TestFaultIsolation:
         assert report.simulated == 0
 
     def test_killed_worker_keeps_finished_results(self, tmp_path):
-        """A worker dying mid-group must not discard the cells it already
-        streamed back, and the sweep must go on to finish the rest."""
+        """A worker dying on one cell must not discard the cells it already
+        finished, and the sweep must go on to finish the rest."""
         runner = _runner()
         manifest_path = tmp_path / "manifest.json"
         report = run_supervised_sweep(
             runner,
             SPECS,
-            jobs=1,  # one worker carries the whole (app, input) group
+            jobs=1,  # one worker runs the (app, input) pair's cells in turn
             policy=RetryPolicy(retries=0, **FAST),
             manifest_path=manifest_path,
             faults={"pagerank/urand/nextline": ("crash", None)},
         )
-        # baseline ran before the crash in the same group and must be kept.
+        # baseline ran on the same worker before the crash and must be kept.
         key = runner._result_key("pagerank", "urand", "baseline", None, None)
         assert key in runner._results
         assert report.simulated == len(SPECS) - 1

@@ -8,7 +8,6 @@ it.  Corrupt entries must degrade to a counted rebuild, never a crash.
 
 import pytest
 
-from repro.experiments import pool
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import RetryPolicy, run_supervised_sweep
 from repro.trace.binfmt import MappedTrace
@@ -155,26 +154,6 @@ class TestRunnerIntegration:
         assert warm.trace_store.hits > 0
 
 
-class TestPoolSweep:
-    def test_second_parallel_sweep_builds_nothing(self, tmp_path):
-        cold = _runner(tmp_path / "store")
-        pool.run_sweep(cold, SPECS, jobs=2)
-        assert cold.trace_store.builds > 0
-
-        warm = _runner(tmp_path / "store")
-        pool.run_sweep(warm, SPECS, jobs=2)
-        assert warm.trace_store.builds == 0
-        assert warm.trace_store.misses == 0
-        assert warm.trace_store.hits > 0
-
-    def test_parallel_matches_serial_with_store(self, tmp_path):
-        serial = ExperimentRunner(scale="test", cache_dir=None)
-        parallel = _runner(tmp_path / "store")
-        pool.run_sweep(parallel, SPECS, jobs=2)
-        for spec in SPECS:
-            assert parallel.run_spec(spec).stats == serial.run_spec(spec).stats
-
-
 class TestSupervisedSweep:
     def test_report_carries_counters(self, tmp_path):
         runner = _runner(tmp_path / "store")
@@ -183,6 +162,13 @@ class TestSupervisedSweep:
         assert report.trace_store is not None
         assert report.trace_store["builds"] > 0
         assert "trace store:" in report.render()
+
+    def test_parallel_matches_serial_with_store(self, tmp_path):
+        serial = ExperimentRunner(scale="test", cache_dir=None)
+        parallel = _runner(tmp_path / "store")
+        run_supervised_sweep(parallel, SPECS, jobs=2)
+        for spec in SPECS:
+            assert parallel.run_spec(spec).stats == serial.run_spec(spec).stats
 
     def test_warm_sweep_reports_zero_builds(self, tmp_path):
         first = _runner(tmp_path / "store")
