@@ -5,16 +5,9 @@ hot paths and reports comparable single numbers:
 
 * ``SimulationEngine.run`` + ``Trace`` iteration — trace entries consumed
   per wall-clock second, so loop-level regressions are visible independent
-  of workload mix.  The columnar backend (``--engine vector``) is timed on
-  a locality-shaped trace (an L1-resident hot set with a cold tail — the
-  stream shape vectorization exists for) against the fast scalar loops on
-  the same trace, plus an epoch-cap sensitivity sweep
-  (``RNR_VECTOR_EPOCH`` 1k/8k/64k).  Two hook-spill scenarios ride along:
-  ``rnr_vector`` (the ``rnr`` prefetcher on an RnR-instrumented locality
-  trace, floor :data:`RNR_VECTOR_SPEEDUP_FLOOR` x its scalar reference)
-  and ``multicore_vector`` (the vectorized k-way merge on a 4-core
-  locality co-run, floor :data:`MULTICORE_VECTOR_SPEEDUP_FLOOR` x the
-  scalar merge);
+  of workload mix: ``demand`` (no prefetcher), ``rnr`` (the RnR
+  prefetcher on an instrumented trace) and ``multicore`` (the 4-core
+  k-way merge).  These are synthetic micro-benchmarks, not figure cells;
 * trace **acquisition** — building each Fig-6 (app x input) row's trace in
   Python vs mmap-loading it from a warm
   :class:`~repro.trace.store.TraceStore`, the sweep's next biggest fixed
@@ -58,24 +51,6 @@ REGRESSION_TOLERANCE = 0.30
 #: this factor on the Fig-6 matrix (the tentpole's headline number).
 STORE_SPEEDUP_FLOOR = 5.0
 
-#: The vector backend must beat the committed scalar ``demand`` baseline
-#: by at least this factor on the locality trace (acceptance criterion).
-VECTOR_SPEEDUP_FLOOR = 3.0
-
-#: Hook-spill epochs: the vector backend with the ``rnr`` prefetcher
-#: must beat the committed scalar reference (same trace, same
-#: prefetcher; the ``rnr_vector_scalar_ref`` section) by at least this
-#: factor on the RnR locality trace (acceptance criterion).
-RNR_VECTOR_SPEEDUP_FLOOR = 2.0
-
-#: The vectorized multicore merge must beat the committed scalar merge
-#: reference (same traces; ``multicore_vector_scalar_ref``) by at least
-#: this factor on the locality co-run (acceptance criterion).
-MULTICORE_VECTOR_SPEEDUP_FLOOR = 1.5
-
-#: Epoch caps for the vector batch-size sensitivity sweep.
-VECTOR_EPOCH_SWEEP = (1024, 8192, 65536)
-
 
 def build_trace(accesses=50_000, rnr=False, window=16, footprint=32_768, seed=7):
     """A two-iteration pointer-chase-style trace (same shape as bench_simulator)."""
@@ -106,85 +81,7 @@ def build_trace(accesses=50_000, rnr=False, window=16, footprint=32_768, seed=7)
     return builder.build()
 
 
-def build_locality_trace(accesses=200_000, hot_lines=24, cold_every=650,
-                         seed=7):
-    """A hot-set demand trace: the shape the vector backend is for.
-
-    ``hot_lines`` cache lines fit in the experiment L1 (32 lines), so the
-    steady state is long L1-hit runs broken by a cold random miss every
-    ``cold_every`` accesses — the laminar/turbulent mix of a cache-
-    friendly workload's inner loop, unlike :func:`build_trace`'s random
-    footprint which misses L1 almost every access.
-    """
-    rng = random.Random(seed)
-    space = AddressSpace()
-    hot = space.alloc("hot", hot_lines * 8, 8)
-    cold = space.alloc("cold", 262_144, 8)
-    builder = TraceBuilder()
-    n_hot = hot_lines * 8
-    builder.iter_begin(0)
-    for i in range(accesses):
-        builder.work(5)
-        if i % cold_every == cold_every - 1:
-            builder.load(cold.addr(rng.randrange(262_144)), pc=0x300)
-        elif i % 11 == 0:
-            builder.store(hot.addr((i * 5) % n_hot), pc=0x200)
-        else:
-            builder.load(hot.addr((i * 3) % n_hot), pc=0x100)
-    builder.iter_end(0)
-    return builder.build()
-
-
-def build_rnr_locality_trace(accesses=200_000, hot_lines=24, cold_every=650,
-                             seed=7, window=16):
-    """The locality shape with RnR instrumented over the *cold* array.
-
-    RnR's target is the irregular structure that misses — the recorded
-    miss sequence replays as prefetches — so the boundary covers the
-    cold array while the hot set stays outside it.  That keeps the
-    hook-spill mask sparse (one boundary load per ``cold_every``
-    accesses spills through the real ``on_access``; the hot hit runs
-    retire closed-form), which is the shape the hook-spill epoch path
-    is for.  Cold indices repeat across the two iterations so the
-    replayed windows actually prefetch the right lines.
-    """
-    rng = random.Random(seed)
-    space = AddressSpace()
-    hot = space.alloc("hot", hot_lines * 8, 8)
-    cold = space.alloc("cold", 262_144, 8)
-    builder = TraceBuilder()
-    interface = RnRInterface(builder, space, default_window=window)
-    interface.init()
-    interface.addr_base.set(cold)
-    interface.addr_base.enable(cold)
-    n_hot = hot_lines * 8
-    per_iter = accesses // 2
-    cold_indices = [
-        rng.randrange(262_144) for _ in range(per_iter // cold_every + 1)
-    ]
-    for iteration in range(2):
-        if iteration == 0:
-            interface.prefetch_state.start()
-        else:
-            interface.prefetch_state.replay()
-        builder.iter_begin(iteration)
-        cold_iter = iter(cold_indices)
-        for i in range(per_iter):
-            builder.work(5)
-            if i % cold_every == cold_every - 1:
-                builder.load(cold.addr(next(cold_iter)), pc=0x300)
-            elif i % 11 == 0:
-                builder.store(hot.addr((i * 5) % n_hot), pc=0x200)
-            else:
-                builder.load(hot.addr((i * 3) % n_hot), pc=0x100)
-        builder.iter_end(iteration)
-    interface.prefetch_state.end()
-    interface.end()
-    return builder.build()
-
-
-def measure_entries_per_second(trace, prefetcher_name=None, repeats=3,
-                               engine=None):
+def measure_entries_per_second(trace, prefetcher_name=None, repeats=3):
     """Best-of-``repeats`` trace entries consumed per second."""
     config = SystemConfig.experiment()
     entries = len(trace)
@@ -193,32 +90,12 @@ def measure_entries_per_second(trace, prefetcher_name=None, repeats=3,
         prefetcher = (
             make_prefetcher(prefetcher_name) if prefetcher_name else None
         )
-        sim = SimulationEngine(config, prefetcher, engine=engine)
+        sim = SimulationEngine(config, prefetcher)
         began = time.perf_counter()
         sim.run(trace)
         elapsed = time.perf_counter() - began
         best = max(best, entries / elapsed)
     return best
-
-
-def measure_vector_epoch_sensitivity(trace, repeats=3):
-    """{epoch cap: entries/s} for the vector backend across batch sizes."""
-    from repro.sim.vector import VECTOR_EPOCH_ENV
-
-    rates = {}
-    saved = os.environ.get(VECTOR_EPOCH_ENV)
-    try:
-        for epoch in VECTOR_EPOCH_SWEEP:
-            os.environ[VECTOR_EPOCH_ENV] = str(epoch)
-            rates[str(epoch)] = measure_entries_per_second(
-                trace, None, repeats, engine="vector"
-            )
-    finally:
-        if saved is None:
-            os.environ.pop(VECTOR_EPOCH_ENV, None)
-        else:
-            os.environ[VECTOR_EPOCH_ENV] = saved
-    return rates
 
 
 MULTICORE_CORES = 4
@@ -232,36 +109,16 @@ def build_multicore_traces(cores=MULTICORE_CORES, accesses_per_core=20_000):
     ]
 
 
-def build_multicore_locality_traces(cores=MULTICORE_CORES,
-                                    accesses_per_core=60_000):
-    """One locality trace per core, cold misses staggered across cores.
-
-    The symmetric hit-run co-run is the shape the vectorized merge is
-    for: cores run a few cycles apart, so the scalar merge degenerates
-    to one-entry turns while the shared-event fence lets the vector
-    backend retire whole probe batches per turn.
-    """
-    return [
-        build_locality_trace(
-            accesses=accesses_per_core, seed=7 + idx,
-            cold_every=650 + 37 * idx,
-        )
-        for idx in range(cores)
-    ]
-
-
-def measure_multicore_entries_per_second(repeats=3, cores=MULTICORE_CORES,
-                                         traces=None, engine=None):
+def measure_multicore_entries_per_second(repeats=3, cores=MULTICORE_CORES):
     """Best-of-``repeats`` total trace entries/s through MulticoreEngine."""
     from repro.sim.multicore import MulticoreEngine
 
     config = SystemConfig.experiment(cores=cores)
-    if traces is None:
-        traces = build_multicore_traces(cores)
+    traces = build_multicore_traces(cores)
     entries = sum(len(trace) for trace in traces)
     best = 0.0
     for _ in range(repeats):
-        multicore = MulticoreEngine(config, engine=engine)
+        multicore = MulticoreEngine(config)
         began = time.perf_counter()
         multicore.run(traces)
         elapsed = time.perf_counter() - began
@@ -270,47 +127,14 @@ def measure_multicore_entries_per_second(repeats=3, cores=MULTICORE_CORES,
 
 
 def run_suite(repeats=3):
-    """{scenario: entries/sec} for the demand, RnR, multicore, and
-    (numpy permitting) vector paths.
-
-    ``vector`` and ``vector_scalar_ref`` run the *same* locality trace
-    through the columnar and fast scalar backends, so their ratio is the
-    vectorization win uncontaminated by trace shape.
-    """
-    from repro.sim.vector import HAVE_NUMPY
-
+    """{scenario: entries/sec} for the demand, RnR, and multicore paths."""
     demand = build_trace(rnr=False)
     rnr = build_trace(rnr=True)
-    results = {
+    return {
         "demand": measure_entries_per_second(demand, None, repeats),
         "rnr": measure_entries_per_second(rnr, "rnr", repeats),
         "multicore": measure_multicore_entries_per_second(repeats),
     }
-    if HAVE_NUMPY:
-        locality = build_locality_trace()
-        results["vector"] = measure_entries_per_second(
-            locality, None, repeats, engine="vector"
-        )
-        results["vector_scalar_ref"] = measure_entries_per_second(
-            locality, None, repeats, engine="fast"
-        )
-        rnr_locality = build_rnr_locality_trace()
-        results["rnr_vector"] = measure_entries_per_second(
-            rnr_locality, "rnr", repeats, engine="vector"
-        )
-        results["rnr_vector_scalar_ref"] = measure_entries_per_second(
-            rnr_locality, "rnr", repeats, engine="fast"
-        )
-        co_run = build_multicore_locality_traces()
-        results["multicore_vector"] = measure_multicore_entries_per_second(
-            repeats, traces=co_run, engine="vector"
-        )
-        results["multicore_vector_scalar_ref"] = (
-            measure_multicore_entries_per_second(
-                repeats, traces=co_run, engine="fast"
-            )
-        )
-    return results
 
 
 def fig06_rows(scale):
@@ -381,16 +205,11 @@ def measure_trace_acquisition(scale=None, repeats=3):
     }
 
 
-def write_baseline(results, trace_acquisition=None, path=BASELINE_PATH,
-                   vector_epochs=None):
+def write_baseline(results, trace_acquisition=None, path=BASELINE_PATH):
     payload = {
         "unit": "trace entries per second",
         "entries_per_second": {k: round(v, 1) for k, v in results.items()},
     }
-    if vector_epochs:
-        payload["vector_epoch_sensitivity"] = {
-            k: round(v, 1) for k, v in vector_epochs.items()
-        }
     if trace_acquisition is not None:
         acq = dict(trace_acquisition)
         for field in (
@@ -477,113 +296,6 @@ def test_engine_multicore_entries_per_second(benchmark):
         assert rate >= floor, (
             f"multicore throughput regressed: {rate:.0f} entries/s vs "
             f"baseline {baseline['multicore']:.0f} (floor {floor:.0f})"
-        )
-
-
-def test_engine_vector_entries_per_second(benchmark):
-    """Columnar backend: >= VECTOR_SPEEDUP_FLOOR x the scalar demand
-    baseline on the locality trace, with its own regression floor."""
-    import pytest
-
-    pytest.importorskip("numpy")
-    trace = build_locality_trace()
-    config = SystemConfig.experiment()
-    entries = len(trace)
-    benchmark.pedantic(
-        lambda: SimulationEngine(config, engine="vector").run(trace),
-        rounds=3,
-        iterations=1,
-    )
-    rate = entries / benchmark.stats.stats.min
-    benchmark.extra_info["entries_per_second"] = round(rate, 1)
-    baseline = load_baseline()
-    if baseline and "demand" in baseline:
-        floor = baseline["demand"] * VECTOR_SPEEDUP_FLOOR
-        assert rate >= floor, (
-            f"vector backend only {rate:.0f} entries/s; acceptance floor is "
-            f"{VECTOR_SPEEDUP_FLOOR}x the scalar demand baseline "
-            f"({baseline['demand']:.0f} -> {floor:.0f})"
-        )
-    if baseline and "vector" in baseline:
-        floor = baseline["vector"] * (1.0 - REGRESSION_TOLERANCE)
-        assert rate >= floor, (
-            f"vector throughput regressed: {rate:.0f} entries/s vs "
-            f"baseline {baseline['vector']:.0f} (floor {floor:.0f})"
-        )
-
-
-def test_engine_rnr_vector_entries_per_second(benchmark):
-    """Hook-spill epochs: the vector backend running the ``rnr``
-    prefetcher must beat the scalar reference on the same trace by
-    >= RNR_VECTOR_SPEEDUP_FLOOR, with its own regression floor."""
-    import pytest
-
-    pytest.importorskip("numpy")
-    trace = build_rnr_locality_trace()
-    config = SystemConfig.experiment()
-    entries = len(trace)
-    benchmark.pedantic(
-        lambda: SimulationEngine(
-            config, make_prefetcher("rnr"), engine="vector"
-        ).run(trace),
-        rounds=3,
-        iterations=1,
-    )
-    rate = entries / benchmark.stats.stats.min
-    benchmark.extra_info["entries_per_second"] = round(rate, 1)
-    baseline = load_baseline()
-    if baseline and "rnr_vector_scalar_ref" in baseline:
-        floor = baseline["rnr_vector_scalar_ref"] * RNR_VECTOR_SPEEDUP_FLOOR
-        assert rate >= floor, (
-            f"rnr vector backend only {rate:.0f} entries/s; acceptance "
-            f"floor is {RNR_VECTOR_SPEEDUP_FLOOR}x the scalar rnr reference "
-            f"({baseline['rnr_vector_scalar_ref']:.0f} -> {floor:.0f})"
-        )
-    if baseline and "rnr_vector" in baseline:
-        floor = baseline["rnr_vector"] * (1.0 - REGRESSION_TOLERANCE)
-        assert rate >= floor, (
-            f"rnr vector throughput regressed: {rate:.0f} entries/s vs "
-            f"baseline {baseline['rnr_vector']:.0f} (floor {floor:.0f})"
-        )
-
-
-def test_engine_multicore_vector_entries_per_second(benchmark):
-    """Vectorized k-way merge: the vector backend on the locality co-run
-    must beat the scalar merge on the same traces by
-    >= MULTICORE_VECTOR_SPEEDUP_FLOOR, with its own regression floor."""
-    import pytest
-
-    pytest.importorskip("numpy")
-    from repro.sim.multicore import MulticoreEngine
-
-    config = SystemConfig.experiment(cores=MULTICORE_CORES)
-    traces = build_multicore_locality_traces()
-    entries = sum(len(trace) for trace in traces)
-    benchmark.pedantic(
-        lambda: MulticoreEngine(config, engine="vector").run(traces),
-        rounds=3,
-        iterations=1,
-    )
-    rate = entries / benchmark.stats.stats.min
-    benchmark.extra_info["entries_per_second"] = round(rate, 1)
-    baseline = load_baseline()
-    if baseline and "multicore_vector_scalar_ref" in baseline:
-        floor = (
-            baseline["multicore_vector_scalar_ref"]
-            * MULTICORE_VECTOR_SPEEDUP_FLOOR
-        )
-        assert rate >= floor, (
-            f"multicore vector merge only {rate:.0f} entries/s; acceptance "
-            f"floor is {MULTICORE_VECTOR_SPEEDUP_FLOOR}x the scalar merge "
-            f"reference ({baseline['multicore_vector_scalar_ref']:.0f} -> "
-            f"{floor:.0f})"
-        )
-    if baseline and "multicore_vector" in baseline:
-        floor = baseline["multicore_vector"] * (1.0 - REGRESSION_TOLERANCE)
-        assert rate >= floor, (
-            f"multicore vector throughput regressed: {rate:.0f} entries/s "
-            f"vs baseline {baseline['multicore_vector']:.0f} "
-            f"(floor {floor:.0f})"
         )
 
 
@@ -724,26 +436,6 @@ def main():
     results = run_suite()
     for scenario, rate in results.items():
         print(f"{scenario:>17}: {rate:>12,.0f} trace entries/s")
-    vector_epochs = None
-    if "vector" in results:
-        vector_epochs = measure_vector_epoch_sensitivity(build_locality_trace())
-        for epoch, rate in vector_epochs.items():
-            print(f"  vector epoch {epoch:>6}: {rate:>12,.0f} entries/s")
-        win = results["vector"] / results["vector_scalar_ref"]
-        print(f"vector vs scalar on the locality trace: {win:.2f}x")
-        rnr_win = results["rnr_vector"] / results["rnr_vector_scalar_ref"]
-        print(
-            f"rnr vector vs scalar rnr (hook-spill epochs): {rnr_win:.2f}x "
-            f"(floor {RNR_VECTOR_SPEEDUP_FLOOR}x)"
-        )
-        mc_win = (
-            results["multicore_vector"]
-            / results["multicore_vector_scalar_ref"]
-        )
-        print(
-            f"multicore vector vs scalar merge on the locality co-run: "
-            f"{mc_win:.2f}x (floor {MULTICORE_VECTOR_SPEEDUP_FLOOR}x)"
-        )
     baseline = load_baseline()
     for line in floor_report(results, baseline):
         print(line)
@@ -754,7 +446,7 @@ def main():
     print()
     for line in delta_report(results, acq, baseline, acq_baseline):
         print(line)
-    path = write_baseline(results, acq, vector_epochs=vector_epochs)
+    path = write_baseline(results, acq)
     print(f"baseline written to {path}")
 
 

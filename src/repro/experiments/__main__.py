@@ -62,7 +62,6 @@ from repro.experiments import (
     supervise,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.sim import vector as vector_backend
 from repro.sim.backend import ENGINE_BACKENDS, ENGINE_ENV, resolve_engine_backend
 from repro.telemetry import config as telemetry_config
 from repro.trace import store as trace_store_mod
@@ -239,11 +238,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    if engine_backend == "vector" and not vector_backend.HAVE_NUMPY:
-        parser.error(
-            "--engine vector requires numpy (pip install repro[fast]); "
-            "use --engine fast for the pure-python loops"
-        )
     # Sweep workers are separate processes; the environment variable is how
     # the chosen backend reaches every SimulationEngine they construct.
     os.environ[ENGINE_ENV] = engine_backend

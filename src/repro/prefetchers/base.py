@@ -68,32 +68,6 @@ class Prefetcher:
         """End-of-trace hook."""
         pass
 
-    # -- columnar-backend support (hook-spill epochs) -----------------------
-    def access_hook_filter(self):
-        """Narrow ``on_access`` for the vector backend's hook-spill epochs.
-
-        The columnar backend (:mod:`repro.sim.vector`) retires L1-hit runs
-        in closed form and can only afford per-entry ``on_access`` calls
-        for the entries that actually need them.  A prefetcher that
-        overrides ``on_access`` may support this by returning a *filter*
-        callable ``filter(is_load, addrs, pcs) -> mask`` where the three
-        arguments are aligned numpy views of a probe batch (bool, uint64,
-        uint64) and the result is a bool mask (or None, meaning no entry
-        in the batch needs its hook).  The contract:
-
-        * for every entry **outside** the mask, ``on_access`` must have no
-          observable effect and return False;
-        * the predicate may depend only on state that changes through
-          ``on_directive`` or ``on_l2_event`` (both only fire at batch
-          boundaries under the vector backend), never through the
-          ``on_access`` calls themselves.
-
-        The default — None instead of a filter — declares "cannot narrow";
-        such prefetchers fall back to the scalar loops under
-        ``--engine vector`` (same statistics, no vector speedup).
-        """
-        return None
-
     # -- helpers ------------------------------------------------------------
     def _issue(self, line_addr: int, cycle: int, window: int = -1) -> bool:
         """Issue one L2 prefetch if the line address is sane."""

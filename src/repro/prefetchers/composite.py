@@ -44,45 +44,6 @@ class CompositePrefetcher(Prefetcher):
             flagged = child.on_access(address, pc, cycle, is_store) or flagged
         return flagged
 
-    def access_hook_filter(self):
-        """Vector-backend hook spill: the union of the children's masks.
-
-        A child that keeps the base no-op ``on_access`` contributes
-        nothing; a child that overrides it without providing a filter
-        makes the whole composite ineligible (return None).  Entries in
-        the union run the composite ``on_access`` — children outside
-        their own mask are no-ops by the filter contract, so firing them
-        is harmless.
-        """
-        filters = []
-        for child in self.children:
-            if type(child).on_access is Prefetcher.on_access:
-                continue
-            getter = getattr(child, "access_hook_filter", None)
-            child_filter = getter() if getter is not None else None
-            if child_filter is None:
-                return None
-            filters.append(child_filter)
-        if not filters:
-
-            def nothing(is_load, addrs, pcs):
-                return None
-
-            return nothing
-        if len(filters) == 1:
-            return filters[0]
-
-        def union(is_load, addrs, pcs):
-            mask = None
-            for child_filter in filters:
-                child_mask = child_filter(is_load, addrs, pcs)
-                if child_mask is None:
-                    continue
-                mask = child_mask if mask is None else mask | child_mask
-            return mask
-
-        return union
-
     def on_l2_event(self, line_addr, pc, cycle, event, flagged, completion=0):
         """L2 outcome hook (training input)."""
         for child in self.children:

@@ -19,8 +19,7 @@ from repro.prefetchers.base import Prefetcher
 
 class GHBPrefetcher(Prefetcher):
     # Trains purely on L2 misses: the base no-op ``on_access`` (and
-    # ``on_directive``/``finalize``) are inherited, which also keeps it
-    # eligible for the columnar backend without any hook spill.
+    # ``on_directive``/``finalize``) are inherited.
     name = "ghb"
 
     def __init__(self, buffer_entries: int = 4096, degree: int = 4):

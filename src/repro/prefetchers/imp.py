@@ -110,24 +110,6 @@ class IMPPrefetcher(Prefetcher):
                     self._issue(target // LINE_SIZE, cycle)
         return False
 
-    def access_hook_filter(self):
-        """Vector-backend hook spill: ``on_access`` only acts on loads
-        whose PC is a recognised index stream.  ``_index_pcs`` grows
-        exclusively inside ``on_l2_event`` (i.e. at L1 misses, which end
-        a vector probe batch), so the mask is stable across one batch.
-        """
-        import numpy as np  # only called by the vector backend
-
-        def index_stream_loads(is_load, addrs, pcs):
-            if not self._index_pcs:
-                return None
-            index_pcs = np.fromiter(
-                self._index_pcs, dtype=np.uint64, count=len(self._index_pcs)
-            )
-            return is_load & np.isin(pcs, index_pcs)
-
-        return index_stream_loads
-
     def on_l2_event(self, line_addr, pc, cycle, event, flagged, completion=0):
         """L2 outcome hook (training input)."""
         if self._detect_index_stream(pc, line_addr):

@@ -115,11 +115,6 @@ class BoundaryTable:
         """Current register-file contents."""
         return list(self._entries)
 
-    @property
-    def enabled_entries(self) -> List[BoundaryEntry]:
-        """Registers with the enable bit set."""
-        return [entry for entry in self._entries if entry.enabled]
-
     def snapshot(self) -> list:
         """Copy out the state (context switch)."""
         return [(e.base, e.size, e.enabled) for e in self._entries]

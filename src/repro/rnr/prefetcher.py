@@ -169,34 +169,6 @@ class RnRPrefetcher(Prefetcher):
             self._replayer_required().on_struct_read(cycle)
         return True
 
-    def access_hook_filter(self):
-        """Vector-backend hook spill: only boundary-range loads while the
-        state machine records or replays ever do anything in ``on_access``.
-
-        Every input to the predicate — the machine state, the boundary
-        registers and their enable bits — changes exclusively through
-        ``on_directive``, so the mask is stable across a probe batch.
-        Entries outside it fall through ``on_access`` with no effect
-        beyond ``_last_check = None``, which is unobservable: the field
-        is only read under ``flagged=True`` in ``on_l2_event``, and a
-        flagged miss always runs its own ``on_access`` first.
-        """
-
-        def boundary_loads(is_load, addrs, pcs):
-            machine = self.machine
-            if not (machine.recording or machine.replaying):
-                return None
-            mask = None
-            for entry in self.boundary.enabled_entries:
-                in_range = (addrs >= entry.base) & (addrs < entry.base + entry.size)
-                mask = in_range if mask is None else mask | in_range
-            if mask is None:
-                return None
-            mask &= is_load
-            return mask
-
-        return boundary_loads
-
     def on_l2_event(self, line_addr, pc, cycle, event, flagged, completion=0):
         """L2 outcome hook (training input)."""
         if not flagged:

@@ -1,22 +1,16 @@
 """Engine backend selection shared by every entry point.
 
-Three execution backends implement the same simulation semantics (the
+Two execution backends implement the same simulation semantics (the
 golden-parity suite pins their ``SimStats`` equality):
 
 * ``fast`` — the inlined scalar loops (:mod:`repro.sim.engine`), default;
 * ``straight`` — the pre-fast-path reference loops, bit-identical by
-  contract and kept as the golden oracle;
-* ``vector`` — the numpy-columnar batched-epoch backend
-  (:mod:`repro.sim.vector`); covers every registry prefetcher (hooked
-  ones through hook-spill epochs) and the multicore k-way merge;
-  requires numpy (the ``fast`` packaging extra) and degrades to ``fast``
-  with a once-per-process warning when numpy is missing.
+  contract and kept as the golden oracle.
 
 Resolution mirrors :func:`repro.experiments.pool.resolve_jobs`: explicit
-argument > ``RNR_ENGINE`` environment variable > the legacy
-``RNR_STRAIGHT_ENGINE`` flag (kept as an alias for ``straight``) >
-``fast``.  Unknown values raise :class:`ValueError` from a single shared
-validator, so the CLI, the engines, and tests all reject the same way.
+argument > ``RNR_ENGINE`` environment variable > ``fast``.  Unknown
+values raise :class:`ValueError` from a single shared validator, so the
+CLI, the engines, and tests all reject the same way.
 """
 
 from __future__ import annotations
@@ -27,12 +21,8 @@ from typing import Optional
 #: Environment variable naming the engine backend for a run.
 ENGINE_ENV = "RNR_ENGINE"
 
-#: Legacy flag predating ``RNR_ENGINE``: any non-empty value forces the
-#: straight reference loops (alias for ``RNR_ENGINE=straight``).
-STRAIGHT_ENGINE_ENV = "RNR_STRAIGHT_ENGINE"
-
 #: Valid backend names, in CLI display order.
-ENGINE_BACKENDS = ("fast", "straight", "vector")
+ENGINE_BACKENDS = ("fast", "straight")
 
 
 def _validate_backend(value, source: str) -> str:
@@ -48,13 +38,10 @@ def _validate_backend(value, source: str) -> str:
 
 
 def resolve_engine_backend(engine: Optional[str] = None) -> str:
-    """Backend name: explicit argument > ``RNR_ENGINE`` > legacy
-    ``RNR_STRAIGHT_ENGINE`` > ``fast``."""
+    """Backend name: explicit argument > ``RNR_ENGINE`` > ``fast``."""
     if engine is not None:
         return _validate_backend(engine, "engine")
     env = os.environ.get(ENGINE_ENV, "").strip()
     if env:
         return _validate_backend(env, ENGINE_ENV)
-    if os.environ.get(STRAIGHT_ENGINE_ENV):
-        return "straight"
     return "fast"

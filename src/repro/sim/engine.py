@@ -28,19 +28,9 @@ Hot-loop structure (see docs/PERFORMANCE.md for the invariants):
   through ``CacheHierarchy.load``/``store``).  They are kept both as the
   fallback for configurations the fast path cannot serve (a D-TLB, a
   non-LRU L1 replacement policy) and as the golden reference: selecting
-  the ``straight`` backend (``--engine straight`` / ``RNR_ENGINE`` /
-  the legacy ``RNR_STRAIGHT_ENGINE=1`` alias) forces them, which the
-  parity suite uses to prove the other backends produce bit-identical
-  statistics;
-* the **vector** backend (:mod:`repro.sim.vector`, ``--engine vector``)
-  consumes hit runs in batched numpy epochs and spills everything else
-  to the scalar machinery.  It needs numpy (the ``fast`` packaging
-  extra) — without it a vector run warns once per process and degrades
-  to the fast scalar loops — and serves telemetry-free runs whose
-  prefetcher either keeps the base ``on_access`` hook or narrows it
-  with an ``access_hook_filter`` (hook-spill epochs: rnr, imp, and
-  their composites vectorize too); anything else silently falls back
-  to the scalar loops with identical statistics.
+  the ``straight`` backend (``--engine straight`` /
+  ``RNR_ENGINE=straight``) forces them, which the parity suite uses to
+  prove the fast loops produce bit-identical statistics.
 
 Backend selection is shared with the CLI and the multicore engine
 through :func:`repro.sim.backend.resolve_engine_backend`.
@@ -57,12 +47,7 @@ from repro.config import LINE_SIZE, SystemConfig
 from repro.cpu.core import Core
 from repro.mem.controller import MemoryController
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
-from repro.sim import vector as vector_backend
-from repro.sim.backend import (
-    ENGINE_ENV,
-    STRAIGHT_ENGINE_ENV,
-    resolve_engine_backend,
-)
+from repro.sim.backend import ENGINE_ENV, resolve_engine_backend
 from repro.sim.os_model import apply_switch
 from repro.stats import PhaseStats, SimStats
 from repro.telemetry.collector import NULL_COLLECTOR, Collector
@@ -71,7 +56,6 @@ from repro.trace.trace import Trace
 
 __all__ = [
     "ENGINE_ENV",
-    "STRAIGHT_ENGINE_ENV",
     "SimulationEngine",
     "resolve_engine_backend",
 ]
@@ -91,7 +75,7 @@ class SimulationEngine:
         engine: Optional[str] = None,
     ):
         # Backend choice: explicit argument wins; None defers to the
-        # RNR_ENGINE / RNR_STRAIGHT_ENGINE environment at run() time.
+        # RNR_ENGINE environment variable at run() time.
         # Validate eagerly so a typo fails at construction, not mid-sweep.
         self._engine_choice = (
             resolve_engine_backend(engine) if engine is not None else None
@@ -228,22 +212,6 @@ class SimulationEngine:
             and hierarchy.dtlb is None
             and backend != "straight"
         )
-        vector = False
-        if backend == "vector":
-            if not vector_backend.HAVE_NUMPY:
-                # Once per process, not per run: a sweep shares one
-                # interpreter across hundreds of cells.
-                vector_backend.warn_numpy_fallback()
-            else:
-                # Telemetry, an on_access hook with no access_hook_filter
-                # to narrow it, or a config outside the stall-safety
-                # inequality falls back to the scalar loops (same
-                # statistics, no vector speedup).
-                vector = (
-                    fast
-                    and not collector.enabled
-                    and vector_backend.vector_supported(self, slim)
-                )
 
         if collector.enabled:
             collector.on_run_begin(len(trace), self.stats, prefetcher.name)
@@ -251,8 +219,6 @@ class SimulationEngine:
                 self._run_telemetry_fast(trace)
             else:
                 self._run_telemetry(trace)
-        elif vector:
-            vector_backend.run_vector(self, trace)
         elif fast:
             if slim:
                 self._run_slim_fast(trace)

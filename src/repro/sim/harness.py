@@ -11,7 +11,7 @@ and by downstream users:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.prefetchers import make_prefetcher
@@ -21,7 +21,11 @@ from repro.prefetchers.imp import IMPPrefetcher
 from repro.sim import metrics
 from repro.sim.engine import SimulationEngine
 from repro.stats import SimStats
-from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    # Annotation only: the workloads need numpy, and ``repro.sim`` (hence
+    # ``import repro``) must import without it.
+    from repro.workloads.base import Workload
 
 
 @dataclass

@@ -20,19 +20,9 @@ the one-entry-at-a-time scheduler — so results are bit-identical.
 Per-core traces stream through ``iter_packed()`` and share the engine's
 inlined L1-hit fast path (see :mod:`repro.sim.engine`); a str/Path entry
 is loaded from disk, so store-served binary traces can be passed by path
-without materialising record objects.
-
-Under ``--engine vector`` (or ``RNR_ENGINE=vector``), each eligible
-core's run is consumed through the columnar backend instead: the core
-owns an incremental :class:`repro.sim.vector._VectorRun` (per-core
-``L1Mirror`` and trace columns) and every merge turn calls its
-``run_until`` with the runner-up's ``(clock, idx)`` key — batched hit
-retirement inside the turn, with the turn boundary cut at exactly the
-entry where the scalar merge would yield, so shared-LLC/MSHR/DRAM
-interactions keep the same global order and the statistics stay
-bit-identical.  Ineligible cores (or a fleet without numpy, which warns
-once per process) keep the scalar turn body below; mixed fleets are
-fine.
+without materialising record objects.  Backend selection
+(``fast``/``straight``) goes through the same resolver as the
+single-core engine.
 """
 
 from __future__ import annotations
@@ -46,7 +36,6 @@ from repro.cache.hierarchy import L2Event
 from repro.config import LINE_SIZE, SystemConfig
 from repro.mem.controller import MemoryController
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
-from repro.sim import vector as vector_backend
 from repro.sim.engine import SimulationEngine, resolve_engine_backend
 from repro.stats import SimStats
 from repro.trace.record import KIND_DIRECTIVE, KIND_LOAD
@@ -63,8 +52,8 @@ class MulticoreEngine:
         engine: Optional[str] = None,
     ):
         # Backend choice mirrors SimulationEngine: explicit argument wins,
-        # None defers to RNR_ENGINE / RNR_STRAIGHT_ENGINE at run() time;
-        # validate eagerly so a typo fails at construction.
+        # None defers to RNR_ENGINE at run() time; validate eagerly so a
+        # typo fails at construction.
         self._engine_choice = (
             resolve_engine_backend(engine) if engine is not None else None
         )
@@ -117,10 +106,6 @@ class MulticoreEngine:
         line_size = LINE_SIZE
         backend = resolve_engine_backend(self._engine_choice)
         straight = backend == "straight"
-        want_vector = backend == "vector"
-        if want_vector and not vector_backend.HAVE_NUMPY:
-            vector_backend.warn_numpy_fallback()
-            want_vector = False
 
         # Per-core scheduler state, indexed by core number.  ``state``
         # holds every per-entry binding hoisted once per core, so run
@@ -131,7 +116,6 @@ class MulticoreEngine:
         hits: List[int] = []
         misses: List[int] = []
         state: List = []
-        runners: List = []
         heap: List = []
         for idx, trace in enumerate(coerced):
             if len(trace) == 0:
@@ -142,7 +126,6 @@ class MulticoreEngine:
                 hits.append(0)
                 misses.append(0)
                 state.append(None)
-                runners.append(None)
                 continue
             engine = engines[idx]
             core = engine.core
@@ -157,20 +140,6 @@ class MulticoreEngine:
             )
             sets, num_sets, dict_lru = hierarchy.l1.demand_probe_state()
             fast = dict_lru and hierarchy.dtlb is None and not straight
-            if want_vector and fast:
-                runner = vector_backend.core_runner(engine, trace, slim)
-                if runner is not None:
-                    # This core's turns go through the columnar backend;
-                    # none of the scalar per-entry state is needed.
-                    iters.append(None)
-                    entries.append(None)
-                    hits.append(0)
-                    misses.append(0)
-                    state.append(None)
-                    runners.append(runner)
-                    heap.append((0, idx))
-                    continue
-            runners.append(None)
             it = trace.iter_packed()
             it_next = it.__next__
             state.append(
@@ -207,32 +176,6 @@ class MulticoreEngine:
 
         while heap:
             _, idx = heappop(heap)
-            runner = runners[idx]
-            if runner is not None:
-                # Columnar turn: consume up to the runner-up's key through
-                # batched vector epochs (run_until processes the first
-                # entry whose post-entry clock passes the limit, exactly
-                # like the scalar turn below, so the global interleaving
-                # is identical).
-                engine = engines[idx]
-                core = engine.core
-                if heap:
-                    limit_clock, limit_idx = heap[0]
-                    exhausted = runner.run_until(limit_clock, idx > limit_idx)
-                else:
-                    exhausted = runner.run_until(None, False)
-                if exhausted:
-                    # run_until flushed the deferred L1 counters; finish
-                    # and drain immediately, in shared-controller order.
-                    final = core.finish()
-                    engine.prefetcher.finalize(final)
-                    engine.hierarchy.drain(final)
-                    engine.stats.instructions = core.instructions
-                    engine.stats.cycles = final
-                    runners[idx] = None
-                else:
-                    heappush(heap, (core.cycle, idx))
-                continue
             (
                 core,
                 engine,

@@ -79,13 +79,8 @@ class MappedTrace(Trace):
     into an ``mmap`` of a binary trace file.
 
     ``iter_packed`` streams straight from the OS page cache; mutation
-    raises.  ``numpy_columns`` (inherited) wraps the same windows in
-    ``numpy.frombuffer`` views — the u64 columns' 8-byte alignment
-    (guaranteed by the 32-byte header pad) makes that a zero-copy alias
-    of the mapped file, which is how the vector engine backend consumes
-    stored traces without materialising a single Python object.  Hold a
-    reference for as long as the trace is in use and call :meth:`close`
-    (or let the GC do it) when done.
+    raises.  Hold a reference for as long as the trace is in use and
+    call :meth:`close` (or let the GC do it) when done.
     """
 
     __slots__ = ("_mmap", "_file", "_path")

@@ -124,26 +124,6 @@ class Trace:
         """
         return self._kinds, self._addrs, self._pcs, self._gaps
 
-    def numpy_columns(self):
-        """Zero-copy numpy views ``(kinds, addrs, pcs, gaps)`` of the columns.
-
-        ``kinds`` is ``uint8``, the rest ``uint64``.  The views alias the
-        trace's own storage — ``array`` buffers for in-memory traces,
-        ``memoryview`` windows over the OS page cache for mmap-backed
-        ones (:class:`repro.trace.binfmt.MappedTrace`) — so building them
-        is O(1) regardless of trace length.  The vector engine backend
-        (:mod:`repro.sim.vector`) segments its batched epochs directly
-        from these.  Requires numpy; callers gate on availability.
-        """
-        import numpy as np
-
-        return (
-            np.frombuffer(self._kinds, dtype=np.uint8),
-            np.frombuffer(self._addrs, dtype=np.uint64),
-            np.frombuffer(self._pcs, dtype=np.uint64),
-            np.frombuffer(self._gaps, dtype=np.uint64),
-        )
-
     def directive_table(self) -> List[Tuple[str, tuple]]:
         """The directive side table indexed by packed directive entries."""
         return self._dirs

@@ -19,8 +19,8 @@ from repro.stats import SimStats
 # The simulator core is pure python (numpy is the optional ``fast``
 # extra), but the graph/sparse/workload generators — and everything that
 # imports them, like the experiment runner — hard-require it.  Skip
-# collecting those suites on a numpy-free install so the core tests prove
-# the fallback path instead of erroring at import time.
+# collecting those suites on a numpy-free install so the core tests still
+# run instead of erroring at import time.
 if importlib.util.find_spec("numpy") is None:
     collect_ignore_glob = [
         "graphs/*",

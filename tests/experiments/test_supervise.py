@@ -270,18 +270,17 @@ class TestManifest:
             SweepManifest.load(path, "abc")
 
     def test_save_records_engine_backend(self, tmp_path, monkeypatch):
-        # The manifest names the backend that produced its cells — the
-        # CI vector smoke asserts "vector" after an --engine vector
-        # sweep, so the field must follow RNR_ENGINE.
+        # The manifest names the backend that produced its cells, so the
+        # field must follow RNR_ENGINE (the CLI exports --engine there).
         from repro.sim.backend import ENGINE_ENV
 
         path = tmp_path / "m.json"
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         SweepManifest(path, "abc").save()
         assert json.loads(path.read_text())["engine"] == "fast"
-        monkeypatch.setenv(ENGINE_ENV, "vector")
+        monkeypatch.setenv(ENGINE_ENV, "straight")
         SweepManifest(path, "abc").save()
-        assert json.loads(path.read_text())["engine"] == "vector"
+        assert json.loads(path.read_text())["engine"] == "straight"
 
     def test_fingerprint_tracks_runner_identity(self):
         a = runner_fingerprint(ExperimentRunner(scale="test"))

@@ -1,27 +1,28 @@
-"""Golden parity: every engine backend is bit-identical to the straight one.
+"""Golden parity: the fast backend is bit-identical to the straight one.
 
-The inlined L1-hit fast path, the allocation-free miss path, the
-k-way-merge multicore scheduler, and the numpy-columnar vector backend
-are pure speedups — every ``SimStats`` field must match the straight-line
-reference loops exactly.  Backends are forced through the shared resolver
-(``--engine`` / ``RNR_ENGINE`` / legacy ``RNR_STRAIGHT_ENGINE``; see
+The inlined L1-hit fast path, the allocation-free miss path, and the
+k-way-merge multicore scheduler are pure speedups — every ``SimStats``
+field must match the straight-line reference loops exactly.  Backends are
+forced through the shared resolver (``--engine`` / ``RNR_ENGINE``; see
 ``repro.sim.backend``), so this suite pins the contract that keeps the
-implementations interchangeable:
+two implementations interchangeable:
 
-* every registry prefetcher, fast vs straight AND vector vs straight, on
-  one fixed seeded RnR-instrumented trace: ``SimStats.as_dict()``
-  equality — hooked prefetchers (``rnr``, ``imp``, composites) ride the
-  hook-spill epoch path, not a scalar fallback;
-* vector epoch boundary edges: a directive landing mid-epoch, an RnR
-  replay-window boundary landing mid-epoch, a telemetry sample point
-  landing mid-epoch, and a trace shorter than one epoch;
+* every registry prefetcher, and no prefetcher, fast vs straight on two
+  fixed seeded RnR-instrumented traces — a random, nearly all-miss
+  stream and a locality stream of long L1-hit runs:
+  ``SimStats.as_dict()`` equality;
+* RnR replay-window flips between long hit runs, context switches
+  (pause, cache pollution, resume) at several cadences inside hit runs,
+  and traces too short to reach a steady state;
+* the telemetry loops: fast vs straight under an enabled collector,
+  including the sampled time series;
 * a 1-core :class:`MulticoreEngine` vs a plain :class:`SimulationEngine`
   on the same trace: exact equality (the merge scheduler degenerates to
   the single-core loop);
-* an N-core run, fast vs straight AND vector vs straight: exact
-  equality (scheduling order and shared-controller contention are part
-  of the simulated result, so the vectorized merge turns must honor the
-  same ``(clock, idx)`` handoff keys).
+* 1-, 2- and 4-core runs, including a mixed rnr/stream/imp/bare fleet
+  and a 2-core co-run for every registry prefetcher, fast vs straight:
+  exact equality (scheduling order and shared-controller contention are
+  part of the simulated result).
 """
 
 import pytest
@@ -29,16 +30,12 @@ import pytest
 from repro.config import SystemConfig
 from repro.prefetchers import PREFETCHERS, make_prefetcher
 from repro.rnr.api import RnRInterface
-from repro.sim import vector as vector_backend
-from repro.sim.engine import ENGINE_ENV, STRAIGHT_ENGINE_ENV, SimulationEngine
+from repro.sim.engine import ENGINE_ENV, SimulationEngine
 from repro.sim.multicore import MulticoreEngine
+from repro.sim.os_model import emit_context_switch
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.config import TelemetryConfig
-from repro.trace import AddressSpace, TraceBuilder
-
-requires_numpy = pytest.mark.skipif(
-    not vector_backend.HAVE_NUMPY, reason="vector backend requires numpy"
-)
+from repro.trace import AddressSpace, Trace, TraceBuilder
 
 ACCESSES = 6_000
 FOOTPRINT = 16_384
@@ -80,15 +77,15 @@ def build_parity_trace(seed=7, accesses=ACCESSES, rnr=True, window=4):
 
 
 def build_locality_trace(seed=3, accesses=ACCESSES, rnr=True, window=4,
-                         hot_lines=24, cold_every=400):
+                         hot_lines=24, cold_every=400, switch_every=None):
     """Seeded trace with an L1-resident hot set plus a cold-miss tail.
 
-    The random ``build_parity_trace`` stream is nearly all L1 misses, so
-    the vector backend's turbulence fallback handles it in scalar bursts.
+    The random ``build_parity_trace`` stream is nearly all L1 misses.
     This shape — long hit runs over ``hot_lines`` resident lines broken by
-    periodic cold misses — is what actually drives the columnar segment
-    path (closed-form hit timing, deferred LRU promotions, pending-queue
-    reconciliation, ROB/LSQ stall cuts).
+    periodic cold misses — drives the fast loops' inlined L1-hit path and
+    its deferred hit counters instead.  ``switch_every`` adds a context
+    switch (half the private caches displaced) after every that many
+    accesses.
     """
     import random
 
@@ -118,6 +115,9 @@ def build_locality_trace(seed=3, accesses=ACCESSES, rnr=True, window=4,
                 builder.store(hot.addr((i * 5) % n_hot), pc=0x200)
             else:
                 builder.load(hot.addr((i * 3) % n_hot), pc=0x100)
+            if switch_every and i % switch_every == switch_every - 1:
+                emit_context_switch(builder, interface if rnr else None,
+                                    away_cycles=2_000, pollution=0.5)
         builder.iter_end(iteration)
     if rnr:
         interface.prefetch_state.end()
@@ -137,7 +137,6 @@ def locality_trace():
 
 def run_single(trace, prefetcher_name, backend, monkeypatch, collector=None):
     """One single-core run with ``backend`` forced through ``RNR_ENGINE``."""
-    monkeypatch.delenv(STRAIGHT_ENGINE_ENV, raising=False)
     monkeypatch.setenv(ENGINE_ENV, backend)
     prefetcher = make_prefetcher(prefetcher_name) if prefetcher_name else None
     engine = SimulationEngine(
@@ -159,120 +158,81 @@ class TestFastVsStraight:
         straight = run_single(rnr_trace, None, "straight", monkeypatch)
         assert fast == straight
 
-
-@requires_numpy
-class TestVectorVsStraight:
-    """The columnar backend is a pure speedup: vector == straight, always.
-
-    Prefetchers that override ``on_access`` but publish an
-    ``access_hook_filter`` (``rnr``, ``imp``, composites of them) run on
-    the columnar path with hook-spill epochs: the filter narrows each
-    probe batch to the entries whose hooks must fire, those spill through
-    the scalar path in trace order, and the rest retire closed-form.
-    Only an overriding prefetcher *without* a filter falls back to the
-    fast loops (pinned in ``test_vector_backend``).
-    """
-
-    @pytest.mark.parametrize("name", sorted(PREFETCHERS))
-    def test_registry_prefetcher_parity(self, name, rnr_trace, monkeypatch):
-        vector = run_single(rnr_trace, name, "vector", monkeypatch)
-        straight = run_single(rnr_trace, name, "straight", monkeypatch)
-        assert vector == straight
-
-    def test_no_prefetcher_parity(self, rnr_trace, monkeypatch):
-        vector = run_single(rnr_trace, None, "vector", monkeypatch)
-        straight = run_single(rnr_trace, None, "straight", monkeypatch)
-        assert vector == straight
-
     @pytest.mark.parametrize("name", [None] + sorted(PREFETCHERS))
     def test_locality_trace_parity(self, name, locality_trace, monkeypatch):
-        # Long L1-hit runs: the shape the columnar segment path is for.
-        vector = run_single(locality_trace, name, "vector", monkeypatch)
+        # Long L1-hit runs: the inlined hit path and deferred counters.
+        fast = run_single(locality_trace, name, "fast", monkeypatch)
         straight = run_single(locality_trace, name, "straight", monkeypatch)
-        assert vector == straight
+        assert fast == straight
 
-    def _count_vectorized(self, monkeypatch):
-        counts = {"vectorized": 0}
-        orig = vector_backend._VectorRun._vector_segment
-
-        def counting_segment(self, *args, **kwargs):
-            consumed = orig(self, *args, **kwargs)
-            counts["vectorized"] += consumed
-            return consumed
-
-        monkeypatch.setattr(
-            vector_backend._VectorRun, "_vector_segment", counting_segment
-        )
-        return counts
-
-    @pytest.mark.parametrize("name", ["stream", "rnr"])
-    def test_locality_trace_actually_vectorizes(self, name, locality_trace,
-                                                monkeypatch):
-        # Guard against a silent fall-back-to-scalar regression: on the
-        # hit-run trace the segment path must consume the bulk of the
-        # entries, not just pass parity by never engaging.  ``stream``
-        # keeps the base ``on_access`` hook; ``rnr`` overrides it but
-        # narrows via its boundary-range ``access_hook_filter``, so both
-        # must retire most entries through columnar segments.
-        counts = self._count_vectorized(monkeypatch)
-        run_single(locality_trace, name, "vector", monkeypatch)
-        assert counts["vectorized"] > len(locality_trace) // 2
-
-    @pytest.mark.parametrize("name", ["rnr", "ghb", "imp"])
-    @pytest.mark.parametrize("epoch", ["64", "256", "1000000"])
-    def test_directive_mid_epoch(self, epoch, name, rnr_trace, monkeypatch):
-        # The RnR trace embeds directives every ``window`` accesses; tiny
-        # epochs put many epoch flushes between directives, the huge one
-        # puts every directive mid-epoch.  Either way: exact parity, for
-        # the hook-spilling prefetchers (rnr, imp) and the hook-free GHB.
-        monkeypatch.setenv(vector_backend.VECTOR_EPOCH_ENV, epoch)
-        vector = run_single(rnr_trace, name, "vector", monkeypatch)
-        monkeypatch.delenv(vector_backend.VECTOR_EPOCH_ENV)
-        straight = run_single(rnr_trace, name, "straight", monkeypatch)
-        assert vector == straight
-
-    @pytest.mark.parametrize("epoch", ["64", "1000000"])
-    def test_rnr_window_boundary_mid_epoch(self, epoch, monkeypatch):
-        # Replay windows advance on ``iter`` directives between long hit
-        # runs; with a tiny window and a huge epoch the recorder/replayer
-        # window flips land mid-segment, so the spilled record hooks and
-        # the deferred hit retirement must interleave in exact trace
-        # order for the replayed prefetches to match the oracle.
-        trace = build_locality_trace(seed=19, window=2, cold_every=150)
-        monkeypatch.setenv(vector_backend.VECTOR_EPOCH_ENV, epoch)
-        vector = run_single(trace, "rnr", "vector", monkeypatch)
-        monkeypatch.delenv(vector_backend.VECTOR_EPOCH_ENV)
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_rnr_window_boundary(self, window, monkeypatch):
+        # A tiny window plus frequent cold misses flips the recorder and
+        # replayer windows many times between long runs of inlined hits.
+        trace = build_locality_trace(seed=19, window=window, cold_every=150)
+        fast = run_single(trace, "rnr", "fast", monkeypatch)
         straight = run_single(trace, "rnr", "straight", monkeypatch)
-        assert vector == straight
+        assert fast == straight
         # The run must have exercised replay, not just recording.
         assert straight["rnr"]["struct_reads"] > 0
 
-    def test_trace_shorter_than_one_epoch(self, monkeypatch):
-        trace = build_parity_trace(seed=11, accesses=120)
-        vector = run_single(trace, "stream", "vector", monkeypatch)
-        straight = run_single(trace, "stream", "straight", monkeypatch)
-        assert vector == straight
+    @pytest.mark.parametrize("name", ["rnr", "ghb", "imp"])
+    @pytest.mark.parametrize("every", [64, 256, 1024])
+    def test_context_switch_cadence(self, every, name, monkeypatch):
+        # Each switch lands mid hit run: the fast loops flush their
+        # deferred hit counters at the directives, then keep probing the
+        # same L1 set dicts the switch just invalidated lines from.
+        accesses = 3_000
+        trace = build_locality_trace(seed=41, accesses=accesses,
+                                     switch_every=every)
+        fast = run_single(trace, name, "fast", monkeypatch)
+        straight = run_single(trace, name, "straight", monkeypatch)
+        assert fast == straight
+        if name == "rnr":
+            # One pause per switch, over two iterations of accesses // 2.
+            assert straight["rnr"]["pauses"] == 2 * (accesses // 2 // every)
 
-    def test_sample_point_mid_epoch(self, rnr_trace, monkeypatch, tmp_path):
-        # Telemetry sample points land between epoch boundaries; the
-        # vector backend defers to the instrumented scalar loops whenever
-        # a collector is enabled, so stats (and samples) stay exact.
-        def collected(backend, sub):
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            Trace(),
+            build_locality_trace(accesses=4),
+            build_parity_trace(seed=11, accesses=120),
+        ],
+        ids=["empty", "4-accesses", "120-accesses"],
+    )
+    def test_short_traces(self, trace, monkeypatch):
+        fast = run_single(trace, "stream", "fast", monkeypatch)
+        straight = run_single(trace, "stream", "straight", monkeypatch)
+        assert fast == straight
+
+    def test_telemetry_collector_parity(self, rnr_trace, monkeypatch,
+                                        tmp_path):
+        # An enabled collector selects _run_telemetry_fast vs
+        # _run_telemetry; sample points land between deferred L1-counter
+        # flushes, so both the stats and the sampled rows must agree.
+        def collected(backend):
             collector = TelemetryCollector(
-                TelemetryConfig(out_dir=str(tmp_path / sub), sample_interval=2000)
+                TelemetryConfig(out_dir=str(tmp_path / backend),
+                                sample_interval=2000)
             )
-            return run_single(
+            stats = run_single(
                 rnr_trace, "rnr", backend, monkeypatch, collector=collector
             )
+            return stats, collector.sampler.rows
 
-        assert collected("vector", "vec") == collected("straight", "ref")
+        fast_stats, fast_rows = collected("fast")
+        straight_stats, straight_rows = collected("straight")
+        assert fast_stats == straight_stats
+        assert len(fast_rows) > 1
+        assert fast_rows == straight_rows
 
 
 class TestMulticoreParity:
     @pytest.mark.parametrize("name", [None, "rnr", "stream"])
     def test_one_core_matches_single_engine(self, name, rnr_trace,
                                             monkeypatch):
-        monkeypatch.delenv(STRAIGHT_ENGINE_ENV, raising=False)
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
         config = SystemConfig.experiment(cores=1)
         prefetcher = make_prefetcher(name) if name else None
         multi = MulticoreEngine(
@@ -285,39 +245,7 @@ class TestMulticoreParity:
         single.run(rnr_trace)
         assert multi_stats.as_dict() == single.stats.as_dict()
 
-    def run_multicore(self, traces, straight, monkeypatch):
-        if straight:
-            monkeypatch.setenv(STRAIGHT_ENGINE_ENV, "1")
-        else:
-            monkeypatch.delenv(STRAIGHT_ENGINE_ENV, raising=False)
-        config = SystemConfig.experiment(cores=CORES)
-        prefetchers = [make_prefetcher("rnr") for _ in range(CORES)]
-        engine = MulticoreEngine(config, prefetchers=prefetchers)
-        return [stats.as_dict() for stats in engine.run(traces)]
-
-    def test_n_core_fast_vs_straight(self, monkeypatch):
-        traces = [
-            build_parity_trace(seed=7 + idx, accesses=3_000)
-            for idx in range(CORES)
-        ]
-        fast = self.run_multicore(traces, straight=False,
-                                  monkeypatch=monkeypatch)
-        straight = self.run_multicore(traces, straight=True,
-                                      monkeypatch=monkeypatch)
-        assert fast == straight
-
-
-@requires_numpy
-class TestMulticoreVectorParity:
-    """The vectorized k-way merge is a pure speedup: per-core stats match
-    the straight merge exactly.  Each merge turn runs a core's vector
-    epochs up to (and through the first entry past) the runner-up's
-    ``(clock, idx)`` key — the same boundary the scalar merge uses — so
-    scheduling order and shared-LLC contention are preserved bit-for-bit.
-    """
-
     def run_multicore(self, traces, backend, prefetcher_names, monkeypatch):
-        monkeypatch.delenv(STRAIGHT_ENGINE_ENV, raising=False)
         monkeypatch.delenv(ENGINE_ENV, raising=False)
         config = SystemConfig.experiment(cores=len(traces))
         prefetchers = [
@@ -328,30 +256,50 @@ class TestMulticoreVectorParity:
                                  engine=backend)
         return [stats.as_dict() for stats in engine.run(traces)]
 
+    def assert_fast_matches_straight(self, traces, names, monkeypatch):
+        fast = self.run_multicore(traces, "fast", names, monkeypatch)
+        straight = self.run_multicore(traces, "straight", names, monkeypatch)
+        assert fast == straight
+
+    def test_n_core_fast_vs_straight(self, monkeypatch):
+        traces = [
+            build_parity_trace(seed=7 + idx, accesses=3_000)
+            for idx in range(CORES)
+        ]
+        self.assert_fast_matches_straight(traces, ["rnr"] * CORES,
+                                          monkeypatch)
+
     @pytest.mark.parametrize("cores", [1, 2, 4])
-    def test_n_core_vector_vs_straight(self, cores, monkeypatch):
-        # Hit-run-heavy traces so the vector path actually engages, with
-        # staggered cold misses desynchronizing the cores' merge turns.
+    def test_locality_n_core_fast_vs_straight(self, cores, monkeypatch):
+        # Hit-run-heavy traces, with staggered cold misses desynchronizing
+        # the cores' merge turns.
         traces = [
             build_locality_trace(seed=11 + idx, accesses=3_000,
                                  cold_every=211 + 13 * idx)
             for idx in range(cores)
         ]
-        names = ["rnr"] * cores
-        vector = self.run_multicore(traces, "vector", names, monkeypatch)
-        straight = self.run_multicore(traces, "straight", names, monkeypatch)
-        assert vector == straight
+        self.assert_fast_matches_straight(traces, ["rnr"] * cores,
+                                          monkeypatch)
 
-    def test_mixed_fleet_vector_vs_straight(self, monkeypatch):
+    @pytest.mark.parametrize("name", [None] + sorted(PREFETCHERS))
+    def test_two_core_prefetcher_parity(self, name, monkeypatch):
+        # Every prefetcher's hooks under the merge scheduler: a hit-run
+        # core co-running with a nearly all-miss core.
+        traces = [
+            build_locality_trace(seed=43, accesses=3_000, cold_every=131),
+            build_parity_trace(seed=47, accesses=2_000),
+        ]
+        self.assert_fast_matches_straight(traces, [name, name], monkeypatch)
+
+    def test_mixed_fleet_fast_vs_straight(self, monkeypatch):
         # Hooked (rnr, imp), hook-free (stream), and bare cores mixed in
-        # one merge: runner cores hand off to scalar cores and back.
+        # one merge.
         traces = [
             build_locality_trace(seed=23, accesses=3_000),
             build_parity_trace(seed=29, accesses=2_000),
             build_locality_trace(seed=31, accesses=3_000, cold_every=97),
             build_parity_trace(seed=37, accesses=2_000),
         ]
-        names = ["rnr", "stream", "imp", None]
-        vector = self.run_multicore(traces, "vector", names, monkeypatch)
-        straight = self.run_multicore(traces, "straight", names, monkeypatch)
-        assert vector == straight
+        self.assert_fast_matches_straight(
+            traces, ["rnr", "stream", "imp", None], monkeypatch
+        )
