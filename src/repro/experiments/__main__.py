@@ -28,12 +28,6 @@ after printing the failure report; ``--lenient`` renders the figures
 anyway, with failed cells shown as ``-`` and a footnote.  An interrupted
 sweep (SIGINT/SIGTERM) drains gracefully, flushes the manifest, and
 exits with status 130.
-
-``python -m repro.experiments fabric {serve,work,sweep}`` runs the same
-cell matrix on the distributed sweep fabric — a TCP coordinator with
-lease-based dispatch, heartbeat liveness, worker quarantine, and
-fabric-level chaos testing (see :mod:`repro.experiments.fabric` and
-``docs/FABRIC.md``).
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ from repro.experiments import (
     fig13_storage,
     fig14_window_sweep,
     hw_overhead,
-    pool,
     record_overhead,
     supervise,
 )
@@ -82,13 +75,6 @@ FIGURES = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "fabric":
-        # Distributed sweep fabric: coordinator + worker agents over TCP
-        # (serve / work / sweep subcommands — see docs/FABRIC.md).
-        from repro.experiments.fabric.cli import fabric_main
-
-        return fabric_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's evaluation figures.",
@@ -230,7 +216,7 @@ def main(argv=None) -> int:
     try:
         engine_backend = resolve_engine_backend(args.engine)
         cell_timeout = supervise.resolve_cell_timeout(args.cell_timeout)
-        jobs = pool.resolve_jobs(args.jobs)
+        jobs = supervise.resolve_jobs(args.jobs)
         policy = supervise.RetryPolicy(retries=args.retries)
         telemetry = telemetry_config.resolve_config(
             args.telemetry_dir, args.sample_interval, args.trace_events

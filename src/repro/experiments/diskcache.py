@@ -36,7 +36,7 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, NamedTuple, Optional, Union
+from typing import Dict, Optional, Union
 
 import repro
 
@@ -57,16 +57,6 @@ _HEADER = struct.Struct("<4sIQ")
 
 class CacheIntegrityError(RuntimeError):
     """A cache entry failed its length/checksum verification."""
-
-
-class CellEntry(NamedTuple):
-    """One on-disk cache entry as seen by read-only consumers
-    (:meth:`DiskCellCache.iter_cells`)."""
-
-    key: str
-    path: Path
-    size: int
-    mtime_ns: int
 
 
 def default_cache_dir() -> Optional[Path]:
@@ -148,44 +138,6 @@ class DiskCellCache:
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
-
-    # ------------------------------------------------------------------
-    # Read-only accessors (consumed by the results server and any other
-    # reader that must not reach into private attributes).
-    # ------------------------------------------------------------------
-    def entry_path(self, key: str) -> Path:
-        """Where the entry for ``key`` lives (whether or not it exists)."""
-        return self._path(key)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether an entry for ``key`` is currently published (cheap
-        existence check; no counters are touched, no payload verified)."""
-        return self._path(key).exists()
-
-    def iter_cells(self) -> Iterator[CellEntry]:
-        """Yield a :class:`CellEntry` per published entry (sorted by key).
-
-        Entries that vanish mid-scan (a concurrent ``clear`` or corrupt-
-        entry deletion) are skipped rather than raised.
-        """
-        for path in self.entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            yield CellEntry(path.stem, path, stat.st_size, stat.st_mtime_ns)
-
-    def stats(self) -> Dict[str, int]:
-        """Read-only snapshot: entry count, total bytes, and the session
-        counters — one dict, safe to serialize."""
-        entries = 0
-        total = 0
-        for cell in self.iter_cells():
-            entries += 1
-            total += cell.size
-        out = {"entries": entries, "bytes": total}
-        out.update(self.counters())
-        return out
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -287,7 +239,7 @@ class DiskCellCache:
 
     def merge_counters(self, delta: Dict[str, int]) -> None:
         """Fold another process's counter delta into this cache's totals
-        (the sweep/fabric coordinator aggregates worker counters here)."""
+        (the sweep supervisor aggregates worker counters here)."""
         for name in COUNTER_NAMES:
             setattr(self, name, getattr(self, name) + int(delta.get(name, 0)))
 

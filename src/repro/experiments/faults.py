@@ -1,10 +1,9 @@
-"""Chaos fault injection for the supervised sweep and the fabric.
+"""Chaos fault injection for the supervised sweep.
 
 Long experiment sweeps have to survive misbehaving cells; this module
 provides the *misbehaviour* — deterministic, targeted faults that tests
-and the CI chaos jobs inject into sweep workers to prove the supervision
-layers (:mod:`repro.experiments.supervise` and
-:mod:`repro.experiments.fabric`) isolate them.
+and the CI chaos job inject into sweep workers to prove the supervisor
+(:mod:`repro.experiments.supervise`) isolates them.
 
 **Cell faults** fire inside a worker when it starts the named cell:
 
@@ -22,40 +21,18 @@ and ``N`` bounds the fault to the first N attempts, making it *transient*
 (the default is to fault every attempt).  Specs come from the CLI's
 repeatable ``--inject-fault`` flag or the ``RNR_FAULTS`` environment
 variable (comma-separated).
-
-**Fabric chaos faults** (:class:`FabricChaos`) have no cell target — they
-misbehave at the distributed-fabric transport/process layer and are only
-valid with the ``fabric`` subcommand:
-
-* ``worker-die`` — each worker's first incarnation dies (``os._exit``)
-  partway through its first leased cell; the respawned incarnation lives;
-* ``worker-slow:<seconds>`` — every cell run stalls that long first,
-  exercising lease expiry and reclaim while heartbeats keep flowing;
-* ``drop-msg:<p>`` — each chaos-eligible fabric message is silently
-  dropped with probability ``p`` (lease re-offers and reclaim recover);
-* ``dup-msg:<p>`` — each chaos-eligible fabric message is sent twice with
-  probability ``p`` (idempotent dedup must absorb the copy);
-* ``late-result`` — results are held until after the cell's lease has
-  expired, so the reclaimed re-run and the late original race on commit.
-
-All fabric-fault parameters are validated by :func:`parse_chaos_specs` so
-a bad spec fails at CLI startup, never mid-sweep.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 #: Environment variable carrying comma-separated fault specs.
 FAULTS_ENV = "RNR_FAULTS"
 
 FAULT_KINDS = ("raise", "hang", "crash", "cache")
-
-#: Fabric-level chaos kinds (transport/process layer; no cell target).
-FABRIC_FAULT_KINDS = ("worker-die", "worker-slow", "drop-msg", "dup-msg", "late-result")
 
 #: Exit status of a ``crash`` fault — mirrors a SIGKILLed/OOM-killed worker.
 CRASH_EXIT_STATUS = 137
@@ -69,17 +46,9 @@ def parse_fault_spec(spec: str) -> Tuple[str, str, Optional[int]]:
     """Parse one ``CELL=KIND[:N]`` spec into (cell_id, kind, attempts)."""
     cell, sep, kind = spec.partition("=")
     if not sep or not cell or not kind:
-        bare = spec.partition(":")[0].strip()
-        if bare in FABRIC_FAULT_KINDS:
-            raise ValueError(
-                f"fault {bare!r} is a fabric-level chaos fault; it is only "
-                "valid with the fabric subcommand "
-                "(python -m repro.experiments fabric sweep ...)"
-            )
         raise ValueError(
             f"fault spec must be CELL=KIND[:N], got {spec!r} "
-            f"(cell kinds: {', '.join(FAULT_KINDS)}; "
-            f"fabric kinds, fabric subcommand only: {', '.join(FABRIC_FAULT_KINDS)})"
+            f"(kinds: {', '.join(FAULT_KINDS)})"
         )
     kind, sep, count = kind.partition(":")
     attempts: Optional[int] = None
@@ -151,112 +120,3 @@ class FaultPlan:
             # Bypass Python teardown entirely — the supervisor must cope
             # with a silently dead process, exactly as with SIGKILL/OOM.
             os._exit(CRASH_EXIT_STATUS)
-
-
-# ----------------------------------------------------------------------
-# Fabric-level chaos
-# ----------------------------------------------------------------------
-@dataclass
-class FabricChaos:
-    """Parsed fabric chaos plan (transport/process-layer misbehaviour).
-
-    Plain data so it can ride the fabric's ``welcome`` message to worker
-    agents; the transport and agent interpret it.  ``seed`` keeps the
-    drop/dup coin flips reproducible per (worker, incarnation).
-    """
-
-    worker_die: bool = False
-    worker_slow: float = 0.0
-    drop_msg: float = 0.0
-    dup_msg: float = 0.0
-    late_result: bool = False
-    seed: int = 0
-
-    def __bool__(self) -> bool:
-        return bool(
-            self.worker_die
-            or self.worker_slow
-            or self.drop_msg
-            or self.dup_msg
-            or self.late_result
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Optional[Mapping]) -> "FabricChaos":
-        payload = dict(payload or {})
-        return cls(**{k: payload[k] for k in cls().to_dict() if k in payload})
-
-
-def _chaos_probability(kind: str, value: str, spec: str) -> float:
-    try:
-        prob = float(value)
-    except ValueError:
-        raise ValueError(
-            f"{kind} needs a probability, e.g. {kind}:0.2 — got {spec!r}"
-        ) from None
-    if not 0.0 <= prob < 1.0:
-        raise ValueError(
-            f"{kind} probability must be in [0, 1), got {prob} "
-            "(1.0 would lose every message and the sweep could never finish)"
-        )
-    return prob
-
-
-def parse_chaos_spec(spec: str, chaos: FabricChaos) -> None:
-    """Apply one fabric fault spec (``KIND`` or ``KIND:PARAM``) to ``chaos``.
-
-    Raises ``ValueError`` with an actionable message for unknown kinds or
-    bad parameters — called at CLI startup so a typo cannot surface as a
-    hung or half-chaotic sweep.
-    """
-    kind, sep, value = spec.strip().partition(":")
-    if kind not in FABRIC_FAULT_KINDS:
-        raise ValueError(
-            f"unknown fabric fault kind {kind!r} in {spec!r}; "
-            f"known: {', '.join(FABRIC_FAULT_KINDS)}"
-        )
-    if kind == "worker-die":
-        if sep:
-            raise ValueError(f"worker-die takes no parameter, got {spec!r}")
-        chaos.worker_die = True
-    elif kind == "late-result":
-        if sep:
-            raise ValueError(f"late-result takes no parameter, got {spec!r}")
-        chaos.late_result = True
-    elif kind == "worker-slow":
-        try:
-            seconds = float(value)
-        except ValueError:
-            raise ValueError(
-                f"worker-slow needs a stall in seconds, e.g. worker-slow:2 — "
-                f"got {spec!r}"
-            ) from None
-        if seconds <= 0:
-            raise ValueError(f"worker-slow seconds must be > 0, got {seconds}")
-        chaos.worker_slow = seconds
-    elif kind == "drop-msg":
-        chaos.drop_msg = _chaos_probability("drop-msg", value, spec)
-    elif kind == "dup-msg":
-        chaos.dup_msg = _chaos_probability("dup-msg", value, spec)
-
-
-def split_fault_specs(
-    specs: Iterable[str],
-) -> Tuple[Dict[str, Tuple[str, Optional[int]]], FabricChaos]:
-    """Partition mixed ``--inject-fault`` specs for the fabric CLI.
-
-    Specs containing ``=`` are cell faults (``CELL=KIND[:N]``); bare
-    names are fabric chaos kinds.  Returns the (cell plan, chaos plan)
-    pair, validating both at once.
-    """
-    cell_specs: List[str] = []
-    chaos = FabricChaos()
-    for spec in specs:
-        if "=" in spec:
-            cell_specs.append(spec)
-        else:
-            parse_chaos_spec(spec, chaos)
-    return parse_faults(cell_specs), chaos

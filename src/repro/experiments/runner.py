@@ -277,19 +277,6 @@ class ExperimentRunner:
             mode=mode,
         )
 
-    def cache_key_for(self, spec: CellSpec) -> str:
-        """The disk-cache content hash this runner uses for ``spec``.
-
-        Public so read-side consumers (the results server's ETag
-        derivation, cache auditors) can locate a cell's entry without
-        reaching into private helpers; ``spec.window=None`` resolves to
-        the runner's default window exactly as :meth:`run` does.
-        """
-        window = spec.window if spec.window is not None else self.window_size
-        return self._cell_key(
-            spec.app, spec.input_name, spec.prefetcher, spec.mode, window
-        )
-
     def run(
         self,
         app: str,
@@ -368,7 +355,7 @@ class ExperimentRunner:
         )
 
     def merge_result(self, spec: CellSpec, result: CellResult) -> None:
-        """Adopt an externally simulated cell (e.g. from a pool worker)."""
+        """Adopt an externally simulated cell (e.g. from a sweep worker)."""
         key = self._result_key(
             spec.app, spec.input_name, spec.prefetcher, spec.mode, spec.window
         )

@@ -32,6 +32,12 @@ traces its runner holds), else one of a workload no worker holds, else
 the head of the queue.  Workers therefore start on distinct (app, input)
 pairs, and a worker takes up another worker's workload only when no cell
 of its own or of an unstarted workload is ready.
+
+Before dispatch, :func:`pending_specs` drops memoized, disk-cached and
+duplicate cells, so a fully warm sweep starts no worker.  The worker
+count comes from :func:`resolve_jobs`: explicit ``jobs`` argument, else
+the ``RNR_JOBS`` environment variable, else the number of CPUs this
+process may run on.
 """
 
 from __future__ import annotations
@@ -48,9 +54,17 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.experiments import faults as faults_mod
-from repro.experiments.pool import full_matrix_specs, pending_specs, resolve_jobs
-from repro.experiments.runner import CellSpec, ExperimentRunner
+from repro.experiments.runner import (
+    APPS,
+    CellSpec,
+    ExperimentRunner,
+    inputs_for,
+    prefetchers_for,
+)
 from repro.telemetry.sweep import SweepTelemetry
+
+#: Environment variable providing the default worker count.
+JOBS_ENV = "RNR_JOBS"
 
 #: Environment variable providing the default per-cell timeout (seconds).
 CELL_TIMEOUT_ENV = "RNR_CELL_TIMEOUT"
@@ -81,17 +95,12 @@ class ManifestVersionError(RuntimeError):
 
 
 class FailureKind:
-    """The sweep failure taxonomy (shared with the fabric)."""
+    """The sweep failure taxonomy."""
 
     TIMEOUT = "timeout"
     CRASH = "crash"
     ERROR = "error"  # deterministic: the cell's workload raised
     CACHE_CORRUPTION = "cache-corruption"
-    #: Fabric only: the cell killed too many distinct workers.
-    POISON = "poison"
-    #: Fabric only: the cell's lease was reclaimed too many times without
-    #: any result arriving (e.g. pathological message loss).
-    LOST = "lost"
 
     #: Kinds worth retrying — the environment may have misbehaved.
     TRANSIENT = frozenset({TIMEOUT, CRASH, CACHE_CORRUPTION})
@@ -108,6 +117,34 @@ def classify_exception(exc_type_name: str) -> str:
     if exc_type_name == "CacheIntegrityError":
         return FailureKind.CACHE_CORRUPTION
     return FailureKind.ERROR
+
+
+def _validate_jobs(value, source: str) -> int:
+    """Shared worker-count validator for the explicit-argument and
+    ``RNR_JOBS`` paths: must parse as an integer and be >= 1."""
+    try:
+        jobs = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{source} must be a positive integer, got {value!r}"
+        ) from None
+    if jobs < 1:
+        raise ValueError(f"{source} must be >= 1, got {jobs}")
+    return jobs
+
+
+def resolve_jobs(jobs: Optional[int] = None) -> int:
+    """Worker count: explicit argument > ``RNR_JOBS`` > usable CPUs."""
+    if jobs is not None:
+        return _validate_jobs(jobs, "jobs")
+    env = os.environ.get(JOBS_ENV, "").strip()
+    if env:
+        return _validate_jobs(env, JOBS_ENV)
+    if hasattr(os, "sched_getaffinity"):
+        # Under taskset or a cpuset-limited container this is fewer than
+        # os.cpu_count(), which would oversubscribe the usable CPUs.
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def resolve_cell_timeout(timeout: Optional[float] = None) -> Optional[float]:
@@ -195,13 +232,16 @@ class SweepReport:
     retried: int = 0  # extra attempts beyond the first, across all cells
     duration: float = 0.0
     failures: List[CellFailure] = field(default_factory=list)
-    #: Aggregated trace-store counters (coordinator + every worker's
+    #: Aggregated trace-store counters (supervisor + every worker's
     #: delta), or None when no store was configured.  ``builds == 0``
     #: proves a warm-store sweep rebuilt nothing.
     trace_store: Optional[Dict[str, int]] = None
-    #: Aggregated cell-cache counters, or None when no cache was
-    #: configured.  ``races`` counts concurrent-writer publishes that
-    #: lost the first-winner rename (safe; surfaced for observability).
+    #: Aggregated cell-cache counters (supervisor + every worker's
+    #: delta), or None when no cache was configured.  A cold cell counts
+    #: two ``misses``: the supervisor's probe in :func:`pending_specs` and
+    #: the worker's own probe in ``ExperimentRunner.run``.  ``races``
+    #: counts concurrent-writer publishes that lost the first-winner
+    #: rename (safe; surfaced for observability).
     cell_cache: Optional[Dict[str, int]] = None
     #: The sweep was stopped by SIGINT/SIGTERM; the manifest was flushed
     #: and ``--resume`` continues from it.
@@ -209,16 +249,6 @@ class SweepReport:
     #: ``--resume`` found the manifest present but unreadable (truncated
     #: or corrupt JSON); the affected cells were restarted from scratch.
     manifest_corrupt: bool = False
-    # ----- fabric counters (zero for single-box supervised sweeps) -----
-    #: Duplicate/late results dropped by idempotent commit dedup.
-    deduped: int = 0
-    #: Leases reclaimed (expiry or worker death) and re-dispatched.
-    reclaimed: int = 0
-    #: Workers declared dead (connection lost or missed heartbeats).
-    dead_workers: int = 0
-    #: Workers drained by the consecutive-failure circuit breaker.
-    benched_workers: int = 0
-    # ----- single-box supervised sweeps only -----
     #: Worker seconds of every simulated or permanently failed cell,
     #: summed over its attempts (cell id -> seconds).
     cell_seconds: Dict[str, float] = field(default_factory=dict)
@@ -242,13 +272,6 @@ class SweepReport:
             header += (
                 "\nmanifest was corrupt: previous progress discarded, "
                 "affected cells restarted"
-            )
-        if self.deduped or self.reclaimed or self.dead_workers or self.benched_workers:
-            header += (
-                f"\nfabric: {self.reclaimed} leases reclaimed, "
-                f"{self.deduped} duplicate results dropped, "
-                f"{self.dead_workers} dead workers, "
-                f"{self.benched_workers} benched workers"
             )
         if self.trace_store is not None:
             counters = self.trace_store
@@ -430,6 +453,51 @@ class SweepManifest:
         )
 
 
+def full_matrix_specs(runner: ExperimentRunner) -> List[CellSpec]:
+    """Every (app, input, prefetcher) cell of Figs 1 and 6-13 plus ideal."""
+    specs: List[CellSpec] = []
+    for app in APPS:
+        for input_name in inputs_for(app):
+            specs.append(CellSpec(app, input_name, "baseline"))
+            for name in prefetchers_for(app):
+                specs.append(CellSpec(app, input_name, name))
+            specs.append(CellSpec(app, input_name, "ideal"))
+    return specs
+
+
+def pending_specs(
+    runner: ExperimentRunner, specs: Iterable[CellSpec]
+) -> List[CellSpec]:
+    """The subset of ``specs`` that actually needs simulating.
+
+    Memoized and duplicate cells are dropped; disk-cached cells are loaded
+    into the runner's memo here, so a fully warm sweep dispatches no work.
+    """
+    pending: List[CellSpec] = []
+    seen = set()
+    for spec in specs:
+        key = runner._result_key(
+            spec.app, spec.input_name, spec.prefetcher, spec.mode, spec.window
+        )
+        if key in runner._results or key in seen:
+            continue
+        # Telemetry-enabled sweeps re-simulate warm disk cells so every
+        # requested cell produces artifacts (see ExperimentRunner.run).
+        if runner.cache is not None and runner.telemetry is None:
+            window = spec.window if spec.window is not None else runner.window_size
+            cached = runner.cache.get(
+                runner._cell_key(
+                    spec.app, spec.input_name, spec.prefetcher, spec.mode, window
+                )
+            )
+            if cached is not None:
+                runner.merge_result(spec, cached)
+                continue
+        seen.add(key)
+        pending.append(spec)
+    return pending
+
+
 def runner_fingerprint(runner: ExperimentRunner) -> str:
     """Identity of everything that can change a cell's statistics."""
     import dataclasses as dc
@@ -475,7 +543,7 @@ def _worker_main(conn, init_kwargs: dict, fault_plan: dict) -> None:
                 pass
 
         runner.telemetry.heartbeat = _heartbeat
-    store = runner.trace_store
+    store, cache = runner.trace_store, runner.cache
     try:
         while True:
             cell = conn.recv()
@@ -483,7 +551,8 @@ def _worker_main(conn, init_kwargs: dict, fault_plan: dict) -> None:
                 return
             spec, attempt = cell
             conn.send(("start",))
-            snapshot = store.counters() if store is not None else None
+            store_snapshot = store.counters() if store is not None else None
+            cache_snapshot = cache.counters() if cache is not None else None
             began = time.perf_counter()
             try:
                 plan.fire(cell_id(spec), attempt)
@@ -491,11 +560,14 @@ def _worker_main(conn, init_kwargs: dict, fault_plan: dict) -> None:
             except BaseException as exc:  # noqa: BLE001 — reported, not hidden
                 name = type(exc).__name__
                 outcome = ("err", name, f"{name}: {exc}"[:500])
-            # The cell's trace-store counter delta rides its result so the
-            # coordinator can aggregate across workers (a crashed worker's
-            # delta is lost with it — best effort).
-            delta = store.counters_since(snapshot) if store is not None else None
-            conn.send((*outcome, time.perf_counter() - began, delta))
+            # The cell's trace-store and cell-cache counter deltas ride its
+            # result so the supervisor can aggregate across workers (a
+            # crashed worker's deltas are lost with it — best effort).
+            deltas = (
+                store.counters_since(store_snapshot) if store is not None else None,
+                cache.counters_since(cache_snapshot) if cache is not None else None,
+            )
+            conn.send((*outcome, time.perf_counter() - began, deltas))
     except (EOFError, OSError, KeyboardInterrupt):
         return
 
@@ -758,15 +830,17 @@ def run_supervised_sweep(
             return
         worker.release()
         if tag == "ok":
-            _, result, duration, delta = message
+            _, result, duration, (store_delta, cache_delta) = message
             complete(state, result, duration)
             status, text = "done", ""
         else:
-            _, exc_name, text, duration, delta = message
+            _, exc_name, text, duration, (store_delta, cache_delta) = message
             fail_or_retry(state, classify_exception(exc_name), text, duration)
             status = "failed"
-        if delta is not None and runner.trace_store is not None:
-            runner.trace_store.merge_counters(delta)
+        if store_delta is not None and runner.trace_store is not None:
+            runner.trace_store.merge_counters(store_delta)
+        if cache_delta is not None and runner.cache is not None:
+            runner.cache.merge_counters(cache_delta)
         if sweep_tel is not None:
             sweep_tel.cell_finished(
                 worker.wid, cell_id(state.spec), status, state.attempts, duration, text
@@ -801,9 +875,9 @@ def run_supervised_sweep(
         except (OSError, BrokenPipeError):
             ready.append(state)
 
-    # SIGTERM (systemd stop, container eviction, fabric drain) behaves
-    # like Ctrl-C: stop dispatching, reap workers, flush the manifest,
-    # and report interrupted so the CLI can exit with a distinct status.
+    # SIGTERM (systemd stop, container eviction) behaves like Ctrl-C:
+    # stop dispatching, reap workers, flush the manifest, and report
+    # interrupted so the CLI can exit with a distinct status.
     import signal as signal_mod
 
     def _sigterm(_signum, _frame):

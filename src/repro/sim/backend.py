@@ -7,10 +7,10 @@ golden-parity suite pins their ``SimStats`` equality):
 * ``straight`` — the pre-fast-path reference loops, bit-identical by
   contract and kept as the golden oracle.
 
-Resolution mirrors :func:`repro.experiments.pool.resolve_jobs`: explicit
-argument > ``RNR_ENGINE`` environment variable > ``fast``.  Unknown
-values raise :class:`ValueError` from a single shared validator, so the
-CLI, the engines, and tests all reject the same way.
+Resolution mirrors :func:`repro.experiments.supervise.resolve_jobs`:
+explicit argument > ``RNR_ENGINE`` environment variable > ``fast``.
+Unknown values raise :class:`ValueError` from a single shared validator,
+so the CLI, the engines, and tests all reject the same way.
 """
 
 from __future__ import annotations

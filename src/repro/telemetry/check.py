@@ -46,11 +46,10 @@ def _fail(path: Path, reason: str) -> CheckFailure:
 # ----------------------------------------------------------------------
 # Individual validators
 # ----------------------------------------------------------------------
-#: Required fields per sweep-event kind (``sweep-events.jsonl``).  The
-#: ``lease.*`` / ``worker.*`` / poison / dedup kinds are emitted by the
-#: distributed fabric; the ``cell.*`` kinds by both supervision layers.
-#: Unknown kinds are tolerated (forward compatibility), but a known kind
-#: missing one of its fields is a schema violation.
+#: Required fields per sweep-event kind (``sweep-events.jsonl``, written
+#: by the supervised sweep).  Unknown kinds are tolerated (forward
+#: compatibility), but a known kind missing one of its fields is a schema
+#: violation.
 SWEEP_EVENT_FIELDS = {
     "cell.start": ("worker", "cell", "attempt"),
     "cell.heartbeat": ("worker", "cell"),
@@ -58,13 +57,6 @@ SWEEP_EVENT_FIELDS = {
     "cell.failed": ("worker", "cell", "attempt", "duration_s"),
     "cell.timeout": ("worker", "cell", "attempt", "duration_s"),
     "cell.crash": ("worker", "cell", "attempt", "duration_s"),
-    "cell.poison": ("cell", "kills"),
-    "lease.grant": ("worker", "cell", "attempt", "lease_s"),
-    "lease.reclaim": ("worker", "cell", "reason"),
-    "worker.hello": ("worker",),
-    "worker.dead": ("worker", "reason"),
-    "worker.benched": ("worker", "failures"),
-    "result.dedup": ("worker", "cell"),
     "sweep.end": ("heartbeats",),
 }
 
@@ -75,8 +67,8 @@ def check_events_jsonl(
     """Validate one JSONL event log; returns the event count.
 
     ``sweep_schema=True`` additionally checks every known sweep-event
-    kind (cell lifecycle, fabric lease/liveness/quarantine/dedup events)
-    for its required fields.
+    kind (cell lifecycle and the closing ``sweep.end``) for its required
+    fields.
     """
     count = 0
     for number, line in enumerate(path.read_text().splitlines(), start=1):

@@ -60,46 +60,6 @@ class SweepTelemetry:
         self._append(event)
 
     # ------------------------------------------------------------------
-    # Fabric events (lease lifecycle, liveness, quarantine, dedup).
-    # ``worker`` is the fabric worker name (e.g. ``w1.0``); the schema is
-    # validated by ``repro.telemetry.check``.
-    # ------------------------------------------------------------------
-    def worker_joined(self, worker, incarnation: int = 0) -> None:
-        self._append(
-            {"ev": "worker.hello", "worker": worker, "incarnation": incarnation}
-        )
-
-    def worker_dead(self, worker, reason: str) -> None:
-        self._append({"ev": "worker.dead", "worker": worker, "reason": reason})
-
-    def worker_benched(self, worker, failures: int) -> None:
-        self._append(
-            {"ev": "worker.benched", "worker": worker, "failures": failures}
-        )
-
-    def lease_granted(self, worker, cell: str, attempt: int, lease_s: float) -> None:
-        self._append(
-            {
-                "ev": "lease.grant",
-                "worker": worker,
-                "cell": cell,
-                "attempt": attempt,
-                "lease_s": round(lease_s, 3),
-            }
-        )
-
-    def lease_reclaimed(self, worker, cell: str, reason: str) -> None:
-        self._append(
-            {"ev": "lease.reclaim", "worker": worker, "cell": cell, "reason": reason}
-        )
-
-    def cell_poisoned(self, cell: str, kills: int) -> None:
-        self._append({"ev": "cell.poison", "cell": cell, "kills": kills})
-
-    def result_deduped(self, worker, cell: str) -> None:
-        self._append({"ev": "result.dedup", "worker": worker, "cell": cell})
-
-    # ------------------------------------------------------------------
     def cell_finished(
         self,
         worker_id: int,

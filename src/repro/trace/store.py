@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Callable, Dict, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import repro
 from repro.trace import binfmt
@@ -87,16 +87,6 @@ def trace_key(
     return hashlib.sha256(blob).hexdigest()
 
 
-class TraceEntry(NamedTuple):
-    """One stored trace as seen by read-only consumers
-    (:meth:`TraceStore.iter_traces`)."""
-
-    key: str
-    path: Path
-    size: int
-    mtime_ns: int
-
-
 class TraceStore:
     """Content-addressed trace files, two directory levels deep
     (``ab/abcdef....rnrt``) like the disk cell cache."""
@@ -112,44 +102,6 @@ class TraceStore:
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.rnrt"
-
-    # ------------------------------------------------------------------
-    # Read-only accessors (consumed by the results server and any other
-    # reader that must not reach into private attributes).
-    # ------------------------------------------------------------------
-    def entry_path(self, key: str) -> Path:
-        """Where the trace for ``key`` lives (whether or not it exists)."""
-        return self._path(key)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether a trace for ``key`` is currently published (cheap
-        existence check; no counters are touched, no framing verified)."""
-        return self._path(key).exists()
-
-    def iter_traces(self) -> Iterator[TraceEntry]:
-        """Yield a :class:`TraceEntry` per stored trace (sorted by key).
-
-        Traces that vanish mid-scan (a concurrent ``clear`` or corrupt-
-        entry deletion) are skipped rather than raised.
-        """
-        for path in self.entries():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            yield TraceEntry(path.stem, path, stat.st_size, stat.st_mtime_ns)
-
-    def stats(self) -> Dict[str, int]:
-        """Read-only snapshot: trace count, total bytes, and the session
-        counters — one dict, safe to serialize."""
-        entries = 0
-        total = 0
-        for entry in self.iter_traces():
-            entries += 1
-            total += entry.size
-        out = {"entries": entries, "bytes": total}
-        out.update(self.counters())
-        return out
 
     # ------------------------------------------------------------------
     def get(self, key: str, map: bool = True) -> Optional[Trace]:
@@ -228,7 +180,7 @@ class TraceStore:
 
     def merge_counters(self, delta: Dict[str, int]) -> None:
         """Fold another process's counter delta into this store's totals
-        (the sweep coordinator aggregates worker-side counters here)."""
+        (the sweep supervisor aggregates worker-side counters here)."""
         for name in COUNTER_NAMES:
             setattr(self, name, getattr(self, name) + int(delta.get(name, 0)))
 

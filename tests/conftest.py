@@ -27,7 +27,6 @@ if importlib.util.find_spec("numpy") is None:
         "sparse/*",
         "workloads/*",
         "experiments/*",
-        "serve/*",
     ]
     collect_ignore = [
         "prefetchers/test_imp.py",

@@ -1,15 +1,17 @@
-"""Fault/chaos spec validation at CLI startup — bad flags must die with
-a clear parser error before any socket is bound or worker spawned."""
+"""Fault-spec validation at CLI startup — bad flags must die with a clear
+parser error before any worker is spawned.
+
+The retired multi-host spellings (a ``fabric`` subcommand, bare
+``worker-die``/``drop-msg``-style chaos kinds) are no longer options: the
+single-box CLI rejects each of them as an ordinary usage error.
+"""
 
 import pytest
 
 from repro.experiments.__main__ import main
-from repro.experiments.fabric.cli import fabric_main
-from repro.experiments.faults import (
-    FABRIC_FAULT_KINDS,
-    parse_chaos_spec,
-    split_fault_specs,
-)
+
+#: Chaos kinds the CLI once accepted for multi-host sweeps.
+RETIRED_CHAOS_KINDS = ("drop-msg", "dup-msg", "late-result", "worker-die", "worker-slow")
 
 
 def _error_text(capsys):
@@ -19,35 +21,32 @@ def _error_text(capsys):
 class TestFabricCliRejects:
     def _expect_error(self, capsys, argv, fragment):
         with pytest.raises(SystemExit) as exc:
-            fabric_main(argv)
+            main(argv)
         assert exc.value.code == 2
         assert fragment in _error_text(capsys)
 
     def test_unknown_chaos_kind(self, capsys):
         self._expect_error(
-            capsys,
-            ["sweep", "fig13", "--inject-fault", "worker-exploded"],
-            "worker-exploded",
+            capsys, ["fig13", "--inject-fault", "worker-exploded"], "worker-exploded"
         )
 
     def test_probability_out_of_range(self, capsys):
         self._expect_error(
-            capsys, ["sweep", "fig13", "--inject-fault", "drop-msg:1.5"], "drop-msg"
+            capsys, ["fig13", "--inject-fault", "drop-msg:1.5"], "drop-msg"
         )
 
     def test_garbage_slow_duration(self, capsys):
         self._expect_error(
-            capsys,
-            ["sweep", "fig13", "--inject-fault", "worker-slow:abc"],
-            "worker-slow",
+            capsys, ["fig13", "--inject-fault", "worker-slow:abc"], "worker-slow"
         )
 
     def test_unknown_figure(self, capsys):
-        self._expect_error(capsys, ["sweep", "fig99"], "unknown figures")
+        # "fabric" and "sweep" are not figures; nothing runs.
+        self._expect_error(capsys, ["fabric", "sweep", "fig99"], "unknown figures")
 
 
 class TestNonFabricCliRejects:
-    @pytest.mark.parametrize("kind", sorted(FABRIC_FAULT_KINDS))
+    @pytest.mark.parametrize("kind", RETIRED_CHAOS_KINDS)
     def test_bare_fabric_kind_errors_with_pointer(self, capsys, kind):
         spec = f"{kind}:0.5" if kind in ("drop-msg", "dup-msg") else kind
         with pytest.raises(SystemExit) as exc:
@@ -55,24 +54,5 @@ class TestNonFabricCliRejects:
         assert exc.value.code == 2
         err = _error_text(capsys)
         assert kind in err
-        assert "fabric" in err
-
-
-class TestSplitSpecs:
-    def test_mixed_cell_and_chaos_specs(self):
-        cell_faults, chaos = split_fault_specs(
-            ["pagerank/urand/rnr=crash", "worker-die", "drop-msg:0.25"]
-        )
-        assert "pagerank/urand/rnr" in cell_faults
-        assert chaos.worker_die
-        assert chaos.drop_msg == 0.25
-        assert not chaos.dup_msg
-
-    @pytest.mark.parametrize(
-        "bad", ["dup-msg:-0.1", "drop-msg:1.0", "worker-slow:-2"]
-    )
-    def test_parse_chaos_rejects_bounds(self, bad):
-        from repro.experiments.faults import FabricChaos
-
-        with pytest.raises(ValueError):
-            parse_chaos_spec(bad, FabricChaos())
+        # The error points at the one accepted form.
+        assert "fault spec must be CELL=KIND[:N]" in err

@@ -1,9 +1,9 @@
-"""End-to-end fabric sweeps: real coordinator, real agent subprocesses.
+"""End-to-end supervised sweeps: real worker processes, real caches.
 
-The headline invariant, asserted under every chaos plan: the fabric
-completes **every non-poison cell exactly once** — no lost cells, no
-duplicate commits — proven by the sweep report, the manifest, and the
-disk-cache counters.
+The headline invariant, asserted clean and under injected worker deaths
+and stalls: the sweep completes **every cell that can complete exactly
+once** — no lost cells, no duplicate commits — as shown by the sweep
+report, the manifest, and the disk-cache counters.
 """
 
 import json
@@ -16,15 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.fabric.cli import run_local_sweep
-from repro.experiments.fabric.coordinator import FabricConfig
-from repro.experiments.faults import FabricChaos
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import (
     INTERRUPT_EXIT_STATUS,
     MANIFEST_NAME,
+    FailureKind,
+    RetryPolicy,
     SweepManifest,
     cell_id,
+    run_supervised_sweep,
     runner_fingerprint,
 )
 
@@ -35,9 +35,8 @@ SPECS = [
     CellSpec("spcg", "bbmat", "baseline"),
 ]
 
-#: Test-scale fabric timing: fast heartbeats, lease long enough that a
-#: test-scale cell (well under a second) never expires it by accident.
-FAST = FabricConfig(lease_seconds=30.0, heartbeat_seconds=0.25)
+#: One retry with millisecond backoff, so fault tests stay fast.
+FAST = RetryPolicy(retries=1, backoff=0.01, backoff_max=0.02, jitter=0.0)
 
 
 def _runner(tmp_path, **kwargs):
@@ -46,9 +45,9 @@ def _runner(tmp_path, **kwargs):
     return ExperimentRunner(scale="test", **kwargs)
 
 
-def _sweep(runner, specs=SPECS, workers=2, config=FAST, **kwargs):
-    kwargs.setdefault("install_signal_handlers", False)
-    return run_local_sweep(runner, list(specs), workers=workers, config=config, **kwargs)
+def _sweep(runner, specs=SPECS, jobs=2, **kwargs):
+    kwargs.setdefault("policy", FAST)
+    return run_supervised_sweep(runner, list(specs), jobs=jobs, **kwargs)
 
 
 def _manifest_cells(runner):
@@ -64,12 +63,16 @@ class TestCleanSweep:
         report = _sweep(runner)
         assert report.simulated == len(SPECS)
         assert not report.failures and report.ok
+        assert report.retried == 0
+        # One publish per cell: nothing committed twice.
+        assert report.cell_cache["stores"] == len(SPECS)
         # Every result was merged: figures can render with no simulation.
         for spec in SPECS:
             assert runner.run_spec(spec) is not None
         cells = _manifest_cells(runner)
         assert sorted(cells) == sorted(cell_id(s) for s in SPECS)
         assert all(entry["status"] == "done" for entry in cells.values())
+        assert all(entry["attempts"] == 1 for entry in cells.values())
 
     def test_second_sweep_is_fully_warm(self, tmp_path):
         first = _runner(tmp_path)
@@ -86,77 +89,59 @@ class TestCleanSweep:
 class TestChaos:
     def test_worker_die_and_message_loss_exactly_once(self, tmp_path):
         runner = _runner(tmp_path)
+        # Every cell's first attempt kills its worker before a result
+        # message is sent; the supervisor must notice each loss.
         report = _sweep(
-            runner,
-            workers=3,
-            chaos=FabricChaos(worker_die=True, drop_msg=0.2, dup_msg=0.2, seed=7),
+            runner, faults={cell_id(spec): ("crash", 1) for spec in SPECS}
         )
         # Exactly once: every cell committed, none lost, none duplicated.
         assert report.simulated == len(SPECS)
         assert not report.failures
-        # All three incarnation-0 workers died mid-lease and were
-        # respawned; their cells were reclaimed and re-dispatched.
-        assert report.dead_workers >= 3
-        assert report.reclaimed >= 3
+        assert report.retried == len(SPECS)
+        assert report.cell_cache["stores"] == len(SPECS)
         cells = _manifest_cells(runner)
         assert sorted(cells) == sorted(cell_id(s) for s in SPECS)
         assert all(entry["status"] == "done" for entry in cells.values())
+        assert all(entry["attempts"] == 2 for entry in cells.values())
 
     def test_late_results_absorbed_exactly_once(self, tmp_path):
         runner = _runner(tmp_path)
+        stalled = SPECS[:2]
+        # Both cells stall past their deadline on the first attempt.  The
+        # stalled worker is killed, so its result can never land late; the
+        # retry commits each cell exactly once.
         report = _sweep(
             runner,
-            specs=SPECS[:2],
-            workers=2,
-            config=FabricConfig(lease_seconds=1.0, heartbeat_seconds=0.2),
-            chaos=FabricChaos(late_result=True, seed=3),
+            specs=stalled,
+            cell_timeout=5.0,
+            faults={cell_id(spec): ("hang", 1) for spec in stalled},
         )
-        # Every result outlived its lease: the cells were reclaimed and
-        # re-queued, yet each landed exactly one commit — either the late
-        # original was absorbed or the replacement's commit deduped it.
         assert report.simulated == 2
         assert not report.failures
-        assert report.reclaimed >= 2
+        assert report.retried == 2
+        assert report.cell_cache["stores"] == 2
         cells = _manifest_cells(runner)
         assert all(entry["status"] == "done" for entry in cells.values())
-
-    def test_duplicated_result_frames_deduped(self, tmp_path):
-        runner = _runner(tmp_path)
-        report = _sweep(
-            runner,
-            workers=2,
-            chaos=FabricChaos(dup_msg=1.0, seed=5),
-        )
-        # Every frame is delivered twice; the second copy of each result
-        # must be dropped by dedup, never committed twice.
-        assert report.simulated == len(SPECS)
-        assert not report.failures
-        assert report.deduped >= 1
+        assert all(entry["attempts"] == 2 for entry in cells.values())
 
     def test_poison_cell_fails_without_sinking_the_sweep(self, tmp_path):
         runner = _runner(tmp_path, lenient=True)
         victim = cell_id(SPECS[1])
-        report = _sweep(
-            runner,
-            workers=2,
-            config=FabricConfig(
-                lease_seconds=30.0, heartbeat_seconds=0.25, poison_after=2
-            ),
-            cell_faults={victim: ("crash", None)},
-        )
-        # The crashing cell killed two distinct workers and was benched
-        # as poison; every other cell still committed exactly once.
+        report = _sweep(runner, faults={victim: ("crash", None)})
+        # The crashing cell killed a worker on every attempt and failed
+        # permanently; every other cell still committed exactly once.
         assert report.simulated == len(SPECS) - 1
         [failure] = report.failures
-        assert failure.kind == "poison"
+        assert failure.kind == FailureKind.CRASH
         assert failure.cell == victim
-        assert report.dead_workers >= 2
-        # Degraded-figure machinery: the poisoned cell renders as '-'.
+        assert failure.attempts == FAST.max_attempts
+        assert report.cell_cache["stores"] == len(SPECS) - 1
+        # Degraded-figure machinery: the failed cell renders as '-'.
         assert runner.run_spec(SPECS[1]) is None
         assert runner.missing_note()
         cells = _manifest_cells(runner)
         assert cells[victim]["status"] == "failed"
-        assert cells[victim]["kind"] == "poison"
+        assert cells[victim]["kind"] == FailureKind.CRASH
 
 
 class TestTelemetry:
@@ -169,13 +154,19 @@ class TestTelemetry:
         )
         report = _sweep(runner, specs=SPECS[:2])
         assert report.simulated == 2
-        # The coordinator's sweep-events.jsonl (fabric schema) and the
+        # The supervisor's sweep-events.jsonl (sweep schema) and the
         # workers' per-cell trees all pass repro.telemetry.check.
         summary = check_tree(tmp_path / "tel", [])
         assert "sweep telemetry present" in summary
-        events = (tmp_path / "tel" / "sweep-events.jsonl").read_text()
-        assert '"worker.hello"' in events
-        assert '"lease.grant"' in events
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "tel" / "sweep-events.jsonl")
+            .read_text()
+            .splitlines()
+        ]
+        done = [event["cell"] for event in events if event["ev"] == "cell.done"]
+        assert sorted(done) == sorted(cell_id(s) for s in SPECS[:2])
+        assert events[-1]["ev"] == "sweep.end"
 
 
 class TestResume:
@@ -197,6 +188,8 @@ class TestResume:
 
 
 class TestGracefulInterrupt:
+    """One worker, the manifest in its default place next to the cache."""
+
     def _popen_sweep(self, tmp_path, *extra):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -205,11 +198,9 @@ class TestGracefulInterrupt:
         )
         return subprocess.Popen(
             [
-                sys.executable, "-m", "repro.experiments", "fabric", "sweep",
-                "fig13",
+                sys.executable, "-m", "repro.experiments", "fig13",
                 "--scale", "test",
-                "--workers", "1",
-                "--heartbeat", "0.25",
+                "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--trace-store", str(tmp_path / "store"),
                 *extra,
@@ -222,11 +213,10 @@ class TestGracefulInterrupt:
 
     def test_sigterm_drains_and_resume_completes(self, tmp_path):
         manifest_path = tmp_path / "cache" / MANIFEST_NAME
-        # worker-slow paces the single worker so the signal lands
-        # mid-sweep, after at least one cell committed.
-        proc = self._popen_sweep(tmp_path, "--inject-fault", "worker-slow:1.5")
+        # --resume routes even one worker through the supervised sweep.
+        proc = self._popen_sweep(tmp_path, "--resume")
         try:
-            deadline = time.time() + 120
+            deadline = time.time() + 180
             while time.time() < deadline:
                 if manifest_path.exists():
                     try:
@@ -247,7 +237,7 @@ class TestGracefulInterrupt:
             else:
                 pytest.fail("no cell committed within the deadline")
             proc.send_signal(signal.SIGTERM)
-            out, _ = proc.communicate(timeout=60)
+            out, _ = proc.communicate(timeout=120)
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -262,10 +252,10 @@ class TestGracefulInterrupt:
             if entry["status"] == "done"
         ]
         assert done
-        # ... and --resume (no chaos) finishes the rest, re-running none
-        # of the committed cells.
+        # ... and --resume finishes the rest, re-running none of the
+        # committed cells.
         proc = self._popen_sweep(tmp_path, "--resume")
-        out, _ = proc.communicate(timeout=180)
+        out, _ = proc.communicate(timeout=600)
         assert proc.returncode == 0, out
         runner = _runner(tmp_path)
         cells = _manifest_cells(runner)

@@ -1,335 +1,73 @@
-"""FabricState unit tests: the coordinator's pure state machine.
+"""Supervisor bookkeeping rules, one per test: which failures are retried,
+and what a resumed sweep takes from its manifest.
 
-Everything here drives the lease/liveness/quarantine/dedup rules with an
-injected clock and hand-built messages — no sockets, no subprocesses —
-so each robustness rule is tested in isolation and in milliseconds.
+Each test drives :func:`run_supervised_sweep` over one or two test-scale
+cells with no disk cache, so the report reflects only the rule under test.
 """
 
-import pytest
-
-from repro.experiments.fabric.coordinator import FabricConfig, FabricState
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import (
     FailureKind,
     RetryPolicy,
     SweepManifest,
     cell_id,
+    run_supervised_sweep,
+    runner_fingerprint,
 )
 
 SPECS = [
     CellSpec("pagerank", "urand", "baseline"),
     CellSpec("pagerank", "urand", "nextline"),
-    CellSpec("pagerank", "amazon", "baseline"),
-    CellSpec("spcg", "bbmat", "baseline"),
 ]
 
-CONFIG = FabricConfig(
-    lease_seconds=10.0,
-    heartbeat_seconds=1.0,
-    liveness_beats=5,
-    bench_after=3,
-    poison_after=3,
-    max_reclaims=4,
-)
+POLICY = RetryPolicy(retries=1, backoff=0.01, backoff_max=0.02, jitter=0.0)
 
 
-def _state(specs=SPECS, manifest=None, **kwargs):
-    runner = ExperimentRunner(scale="test", cache_dir=None)
-    kwargs.setdefault("config", CONFIG)
-    kwargs.setdefault("policy", RetryPolicy(retries=1, backoff=0.01, jitter=0.0))
-    return FabricState(runner, list(specs), manifest=manifest, **kwargs)
+def _runner():
+    return ExperimentRunner(scale="test", cache_dir=None)
 
 
-def _join(state, slot=0, incarnation=0, now=0.0):
-    name, replies = state.on_hello({"slot": slot, "incarnation": incarnation}, now)
-    assert replies[0][1]["type"] == "welcome"
-    return name
-
-
-def _lease(state, worker, now):
-    replies = state.on_request(worker, now)
-    assert len(replies) == 1
-    return replies[0][1]
-
-
-def _result_for(message):
-    return {
-        "type": "result",
-        "cell": message["cell"],
-        "result": object(),
-        "duration": 0.5,
-    }
-
-
-class TestHello:
-    def test_welcome_carries_runner_identity_and_name(self):
-        state = _state()
-        name, replies = state.on_hello({"slot": 2, "incarnation": 1}, now=0.0)
-        assert name == "w2.1"
-        welcome = replies[0][1]
-        assert welcome["worker"] == "w2.1"
-        assert welcome["runner"]["scale"] == "test"
-        assert welcome["lease_s"] == CONFIG.lease_seconds
-        assert "chaos" in welcome
-
-    def test_unslotted_workers_get_sequential_slots(self):
-        state = _state()
-        first, _ = state.on_hello({}, now=0.0)
-        second, _ = state.on_hello({}, now=0.0)
-        assert first == "w0.0" and second == "w1.0"
-
-
-class TestLeasing:
-    def test_grant_and_commit(self):
-        state = _state()
-        worker = _join(state)
-        lease = _lease(state, worker, now=1.0)
-        assert lease["type"] == "lease"
-        assert lease["attempt"] == 1
-        state.on_result(worker, _result_for(lease), now=2.0)
-        assert lease["cell"] in state.committed
-        assert state.report.simulated == 1
-        assert state.manifest is None  # no cache dir -> no manifest
-
-    def test_rerequest_reoffers_same_unexpired_lease(self):
-        # A dropped lease message means the worker asks again; it must
-        # get the same cell and attempt back, not a second lease.
-        state = _state()
-        worker = _join(state)
-        first = _lease(state, worker, now=1.0)
-        again = _lease(state, worker, now=2.0)
-        assert (again["cell"], again["attempt"]) == (first["cell"], first["attempt"])
-        assert len(state.leases) == 1
-
-    def test_exhausted_queue_answers_idle_then_drain_when_done(self):
-        state = _state(specs=SPECS[:1])
-        worker = _join(state)
-        other = _join(state, slot=1)
-        lease = _lease(state, worker, now=1.0)
-        assert _lease(state, other, now=1.0)["type"] == "idle"
-        state.on_result(worker, _result_for(lease), now=2.0)
-        assert state.done
-        assert _lease(state, other, now=3.0)["type"] == "drain"
-
-    def test_duplicate_result_deduped(self):
-        state = _state()
-        worker = _join(state)
-        lease = _lease(state, worker, now=1.0)
-        state.on_result(worker, _result_for(lease), now=2.0)
-        state.on_result(worker, _result_for(lease), now=2.1)  # duplicated frame
-        assert state.report.simulated == 1
-        assert state.report.deduped == 1
-
-
-class TestLeaseExpiry:
-    def test_expired_lease_reclaimed_and_requeued(self):
-        state = _state()
-        worker = _join(state)
-        lease = _lease(state, worker, now=0.0)
-        state.tick(now=CONFIG.lease_seconds + 0.1)
-        assert state.report.reclaimed == 1
-        assert lease["cell"] in state.queue  # back in the ready queue
-        assert not state.leases
-
-    def test_late_result_after_reclaim_and_recommit_is_dropped(self):
-        state = _state()
-        slow = _join(state, slot=0)
-        fast = _join(state, slot=1)
-        lease = _lease(state, slow, now=0.0)
-        # Both workers keep heartbeating (the slow one is computing, the
-        # fast one re-requesting), so only the lease expires — liveness
-        # must not declare anyone dead here.
-        beat = CONFIG.lease_seconds - 0.1
-        state.on_heartbeat(slow, {"type": "tel", "cell": lease["cell"]}, now=beat)
-        state.on_heartbeat(fast, {"type": "tel", "cell": ""}, now=beat)
-        state.tick(now=CONFIG.lease_seconds + 0.1)
-        # The replacement worker drains the queue until it holds the
-        # reclaimed cell, committing everything else on the way.
-        now = CONFIG.lease_seconds + 1.0
-        while True:
-            redo = _lease(state, fast, now=now)
-            if redo["cell"] == lease["cell"]:
-                break
-            state.on_result(fast, _result_for(redo), now=now)
-        assert redo["attempt"] == 2
-        state.on_result(fast, _result_for(redo), now=now + 1)
-        committed = state.report.simulated
-        # ... and now the original, slow worker finally finishes.
-        state.on_result(slow, _result_for(lease), now=now + 2)
-        assert state.report.simulated == committed  # not committed twice
-        assert state.report.deduped == 1
-
-    def test_reclaim_cap_fails_cell_as_lost(self):
-        state = _state(specs=SPECS[:1])
-        worker = _join(state)
-        for reclaim in range(CONFIG.max_reclaims):
-            base = reclaim * 100.0
-            lease = _lease(state, worker, now=base)
-            # The worker stays live (heartbeating) but never delivers:
-            # only the expiry path fires, never the liveness one.
-            state.on_heartbeat(
-                worker,
-                {"type": "tel", "cell": lease["cell"]},
-                now=base + CONFIG.lease_seconds + 0.9,
-            )
-            state.tick(now=base + CONFIG.lease_seconds + 1)
-        assert state.done
-        [failure] = state.report.failures
-        assert failure.kind == FailureKind.LOST
-        assert lease["cell"] == failure.cell
-
-
-class TestLiveness:
-    def test_silent_worker_declared_dead_and_lease_requeued(self):
-        state = _state()
-        worker = _join(state)
-        lease = _lease(state, worker, now=0.0)
-        dead = state.tick(now=CONFIG.liveness_seconds + 0.5)
-        assert dead == [worker]
-        assert state.report.dead_workers == 1
-        assert lease["cell"] in state.queue
-
-    def test_heartbeat_keeps_worker_alive(self):
-        state = _state()
-        worker = _join(state)
-        _lease(state, worker, now=0.0)
-        horizon = CONFIG.liveness_seconds
-        state.on_heartbeat(worker, {"type": "tel", "cell": "x"}, now=horizon - 1)
-        assert state.tick(now=horizon + 1) == []  # refreshed at horizon-1
-
-    def test_dead_worker_gets_no_more_leases(self):
-        state = _state()
-        worker = _join(state)
-        state.on_disconnect(worker, now=1.0)
-        assert _lease(state, worker, now=2.0)["type"] == "drain"
-
-
-class TestPoison:
-    def test_cell_killing_distinct_workers_is_poisoned(self):
-        state = _state(specs=SPECS[:1])
-        cell = cell_id(SPECS[0])
-        for kill in range(CONFIG.poison_after):
-            worker = _join(state, slot=kill)
-            lease = _lease(state, worker, now=float(kill))
-            assert lease["cell"] == cell
-            state.on_disconnect(worker, now=float(kill) + 0.5)
-        [failure] = state.report.failures
-        assert failure.kind == FailureKind.POISON
-        assert failure.cell == cell
-        assert state.done
-        # ... and the poison is recorded on the runner for the figures'
-        # strict/lenient degradation machinery.
-        assert state.runner.failed_cells
-
-    def test_same_worker_dying_twice_counts_once(self):
-        # kills are distinct workers, so one flaky host cannot poison.
-        state = _state(specs=SPECS[:1])
-        for incarnation in range(CONFIG.poison_after):
-            worker = _join(state, slot=0, incarnation=incarnation)
-            _lease(state, worker, now=float(incarnation))
-            state.on_disconnect(worker, now=float(incarnation) + 0.5)
-        # 3 deaths of w0.* incarnations are 3 distinct names -> poisoned;
-        # but reconnections under the SAME name must not be.
-        state2 = _state(specs=SPECS[:1])
-        worker = _join(state2, slot=0)
-        for _ in range(CONFIG.poison_after):
-            _lease(state2, worker, now=0.0)
-            state2.on_disconnect(worker, now=0.5)
-            state2.workers[worker].dead = False  # simulated same-name return
-        assert not state2.report.failures
+def _sweep(runner, specs=SPECS, **kwargs):
+    kwargs.setdefault("policy", POLICY)
+    return run_supervised_sweep(runner, list(specs), jobs=1, **kwargs)
 
 
 class TestQuarantine:
-    def _error_for(self, lease):
-        return {
-            "type": "error",
-            "cell": lease["cell"],
-            "exc": "InjectedFault",
-            "message": "InjectedFault: boom",
-            "duration": 0.1,
-        }
-
-    def test_consecutive_failures_bench_the_worker(self):
-        state = _state()
-        worker = _join(state)
-        for failure_count in range(CONFIG.bench_after):
-            lease = _lease(state, worker, now=float(failure_count))
-            replies = state.on_error(worker, self._error_for(lease), now=1.0)
-        assert state.report.benched_workers == 1
-        assert ("drain" in [m["type"] for _, m in replies])
-        assert _lease(state, worker, now=5.0)["type"] == "drain"
-
-    def test_success_resets_the_breaker(self):
-        state = _state()
-        worker = _join(state)
-        for _ in range(CONFIG.bench_after - 1):
-            lease = _lease(state, worker, now=0.0)
-            state.on_error(worker, self._error_for(lease), now=0.1)
-        lease = _lease(state, worker, now=1.0)
-        state.on_result(worker, _result_for(lease), now=1.5)
-        lease = _lease(state, worker, now=2.0)
-        state.on_error(worker, self._error_for(lease), now=2.1)
-        assert state.report.benched_workers == 0
-
     def test_transient_error_retried_then_permanent(self):
-        state = _state(specs=SPECS[:1])
-        worker = _join(state)
-        lease = _lease(state, worker, now=0.0)
-        error = dict(self._error_for(lease), exc="CacheIntegrityError")
-        state.on_error(worker, error, now=0.1)
-        assert state.report.retried == 1 and not state.report.failures
-        state.tick(now=1.0)  # promote the delayed retry (backoff is 10ms)
-        lease = _lease(state, worker, now=1.0)
-        assert lease["attempt"] == 2
-        state.on_error(worker, error, now=1.1)
-        [failure] = state.report.failures
+        victim = cell_id(SPECS[0])
+        report = _sweep(_runner(), specs=SPECS[:1], faults={victim: ("cache", None)})
+        # Cache corruption may be the environment's fault: retried once,
+        # then failed permanently when it persists.
+        assert report.retried == 1
+        [failure] = report.failures
+        assert failure.cell == victim
         assert failure.kind == FailureKind.CACHE_CORRUPTION
+        assert failure.attempts == POLICY.max_attempts
 
     def test_deterministic_error_fails_immediately(self):
-        state = _state(specs=SPECS[:1])
-        worker = _join(state)
-        lease = _lease(state, worker, now=0.0)
-        state.on_error(worker, self._error_for(lease), now=0.1)
-        [failure] = state.report.failures
+        victim = cell_id(SPECS[0])
+        report = _sweep(_runner(), specs=SPECS[:1], faults={victim: ("raise", None)})
+        [failure] = report.failures
         assert failure.kind == FailureKind.ERROR
-        assert state.report.retried == 0
-
-
-class TestDrain:
-    def test_drain_stops_leasing(self):
-        state = _state()
-        worker = _join(state)
-        state.begin_drain()
-        assert _lease(state, worker, now=1.0)["type"] == "drain"
-
-    def test_disconnect_during_drain_is_not_a_death(self):
-        state = _state()
-        worker = _join(state)
-        lease = _lease(state, worker, now=0.0)
-        state.begin_drain()
-        state.on_disconnect(worker, now=1.0)
-        assert state.report.dead_workers == 0
-        assert lease["cell"] in state.queue  # still requeued for --resume
-
-    def test_goodbye_is_a_clean_exit(self):
-        state = _state()
-        worker = _join(state)
-        state.on_goodbye(worker, now=1.0)
-        assert state.report.dead_workers == 0
+        assert failure.attempts == 1
+        assert report.retried == 0
 
 
 class TestResume:
     def test_manifest_done_cells_skipped(self, tmp_path):
-        manifest = SweepManifest(tmp_path / "m.json")
+        runner = _runner()
+        path = tmp_path / "m.json"
+        manifest = SweepManifest(path, runner_fingerprint(runner))
         manifest.mark_done(cell_id(SPECS[0]), attempts=1, duration=1.0)
-        state = _state(manifest=manifest)
-        assert state.report.resumed == 1
-        assert len(state.cells) == len(SPECS) - 1
+        manifest.save()
+        report = _sweep(runner, manifest_path=path, resume=True)
+        assert report.resumed == 1
+        assert report.simulated == len(SPECS) - 1
 
     def test_corrupt_manifest_surfaced(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"format": 1, "cells": {"a/b/c": {"st')  # cut mid-JSON
-        manifest = SweepManifest.load(path)
-        state = _state(manifest=manifest)
-        assert state.report.manifest_corrupt
-        assert len(state.cells) == len(SPECS)  # nothing skipped
+        report = _sweep(_runner(), manifest_path=path, resume=True)
+        assert report.manifest_corrupt
+        assert report.resumed == 0
+        assert report.simulated == len(SPECS)  # nothing skipped

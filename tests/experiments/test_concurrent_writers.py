@@ -1,13 +1,13 @@
 """Concurrent writers — and readers — racing the disk cache and the
 trace store.
 
-Fabric workers on a shared filesystem can finish the same cell at the
-same instant (lease reclaim + late finish).  The stores must stay
-first-winner: exactly one process's entry lands, every loser counts a
-race, and a reader never sees a torn or truncated entry.  The results
-server adds a second population: read-only processes polling the same
-directories while cells commit, which must only ever observe "absent"
-or "whole" — never a partial frame.
+Two sweeps sharing one ``RNR_CACHE_DIR`` / ``RNR_TRACE_STORE`` can
+finish the same cell, or build the same trace, at the same instant.  The
+stores must stay first-winner: exactly one process's entry lands, every
+loser counts a race, and a reader never sees a torn or truncated entry.
+The other sweep's supervisor and workers also read the directories while
+cells commit, and must only ever observe "absent" or "whole" — never a
+partial frame.
 """
 
 import multiprocessing

@@ -8,8 +8,15 @@ import pytest
 import repro
 from repro.config import SystemConfig
 from repro.experiments import diskcache
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import CellSpec, ExperimentRunner
+from repro.experiments.supervise import run_supervised_sweep
 from repro.rnr.replayer import ControlMode
+
+SPECS = [
+    CellSpec("pagerank", "urand", "baseline"),
+    CellSpec("pagerank", "urand", "nextline"),
+    CellSpec("spcg", "bbmat", "baseline"),
+]
 
 
 def _key(**overrides):
@@ -58,7 +65,7 @@ class TestCellKey:
         assert _key(config=tweaked) != _key()
 
     def test_mode_hashes_by_value(self):
-        # Same enum vs raw value — the worker and coordinator must agree.
+        # Same enum vs raw value — the worker and supervisor must agree.
         assert _key(mode=ControlMode.WINDOW) == _key(mode=ControlMode.WINDOW.value)
 
     def test_default_version_is_package_version(self):
@@ -160,3 +167,27 @@ class TestRunnerIntegration:
         result = runner.run("spcg", "bbmat", "rnr")
         clone = pickle.loads(pickle.dumps(result))
         assert clone.stats == result.stats
+
+
+class TestSupervisedSweep:
+    """The sweep report folds in the cell-cache traffic of its workers."""
+
+    def test_cold_sweep_counts_worker_stores(self, tmp_path):
+        runner = ExperimentRunner(scale="test", cache_dir=tmp_path)
+        report = run_supervised_sweep(runner, SPECS, jobs=2)
+        assert report.ok and report.simulated == len(SPECS)
+        assert report.cell_cache["stores"] == report.simulated
+        # Each cold cell misses twice: the supervisor's probe before
+        # dispatch and the worker's own probe before it simulates.
+        assert report.cell_cache["misses"] == 2 * len(SPECS)
+        assert f"{len(SPECS)} stores" in report.render()
+
+    def test_warm_sweep_counts_hits_only(self, tmp_path):
+        run_supervised_sweep(
+            ExperimentRunner(scale="test", cache_dir=tmp_path), SPECS, jobs=2
+        )
+        runner = ExperimentRunner(scale="test", cache_dir=tmp_path)
+        report = run_supervised_sweep(runner, SPECS, jobs=2)
+        assert report.simulated == 0
+        assert report.cell_cache["hits"] == len(SPECS)
+        assert report.cell_cache["stores"] == 0

@@ -26,6 +26,8 @@ class TestParsing:
             "cell=explode",
             "cell=crash:zero",
             "cell=crash:0",
+            "worker-die",
+            "drop-msg:0.2",
         ],
     )
     def test_rejects_malformed(self, bad):

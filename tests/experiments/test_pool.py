@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.experiments import pool
+from repro.experiments import supervise
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import run_supervised_sweep
 from repro.rnr.replayer import ControlMode
@@ -25,64 +25,64 @@ def _runner():
 
 class TestResolveJobs:
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(pool.JOBS_ENV, "7")
-        assert pool.resolve_jobs(3) == 3
+        monkeypatch.setenv(supervise.JOBS_ENV, "7")
+        assert supervise.resolve_jobs(3) == 3
 
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(pool.JOBS_ENV, "5")
-        assert pool.resolve_jobs() == 5
+        monkeypatch.setenv(supervise.JOBS_ENV, "5")
+        assert supervise.resolve_jobs() == 5
 
     def test_cpu_count_default(self, monkeypatch):
-        monkeypatch.delenv(pool.JOBS_ENV, raising=False)
+        monkeypatch.delenv(supervise.JOBS_ENV, raising=False)
         if hasattr(os, "sched_getaffinity"):
-            assert pool.resolve_jobs() == len(os.sched_getaffinity(0))
+            assert supervise.resolve_jobs() == len(os.sched_getaffinity(0))
         else:
-            assert pool.resolve_jobs() == (os.cpu_count() or 1)
+            assert supervise.resolve_jobs() == (os.cpu_count() or 1)
 
     def test_default_follows_cpu_affinity(self, monkeypatch):
         # taskset / a cpuset-limited container: one usable CPU of many.
-        monkeypatch.delenv(pool.JOBS_ENV, raising=False)
+        monkeypatch.delenv(supervise.JOBS_ENV, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert pool.resolve_jobs() == 1
+        assert supervise.resolve_jobs() == 1
 
     def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(pool.JOBS_ENV, raising=False)
+        monkeypatch.delenv(supervise.JOBS_ENV, raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert pool.resolve_jobs() == 3
+        assert supervise.resolve_jobs() == 3
 
     def test_rejects_nonpositive(self, monkeypatch):
         with pytest.raises(ValueError):
-            pool.resolve_jobs(0)
-        monkeypatch.setenv(pool.JOBS_ENV, "-2")
+            supervise.resolve_jobs(0)
+        monkeypatch.setenv(supervise.JOBS_ENV, "-2")
         with pytest.raises(ValueError):
-            pool.resolve_jobs()
+            supervise.resolve_jobs()
 
     def test_rejects_zero_env(self, monkeypatch):
-        monkeypatch.setenv(pool.JOBS_ENV, "0")
+        monkeypatch.setenv(supervise.JOBS_ENV, "0")
         with pytest.raises(ValueError, match="RNR_JOBS"):
-            pool.resolve_jobs()
+            supervise.resolve_jobs()
 
     def test_rejects_noninteger_env(self, monkeypatch):
-        monkeypatch.setenv(pool.JOBS_ENV, "many")
+        monkeypatch.setenv(supervise.JOBS_ENV, "many")
         with pytest.raises(ValueError, match="positive integer"):
-            pool.resolve_jobs()
+            supervise.resolve_jobs()
 
     def test_rejects_noninteger_argument(self):
         with pytest.raises(ValueError, match="positive integer"):
-            pool.resolve_jobs("abc")
+            supervise.resolve_jobs("abc")
 
     def test_error_message_names_the_source(self, monkeypatch):
         with pytest.raises(ValueError, match="jobs must be"):
-            pool.resolve_jobs(0)
-        monkeypatch.setenv(pool.JOBS_ENV, "0")
-        with pytest.raises(ValueError, match=pool.JOBS_ENV):
-            pool.resolve_jobs()
+            supervise.resolve_jobs(0)
+        monkeypatch.setenv(supervise.JOBS_ENV, "0")
+        with pytest.raises(ValueError, match=supervise.JOBS_ENV):
+            supervise.resolve_jobs()
 
 
 class TestRunSweep:
-    """The sweep executor, fed by this module's helpers."""
+    """The sweep executor, fed by its matrix and pending-cell helpers."""
 
     def test_parallel_matches_serial(self):
         serial = _runner()
@@ -115,7 +115,7 @@ class TestRunSweep:
 
     def test_full_matrix_covers_every_cell(self):
         runner = _runner()
-        specs = pool.full_matrix_specs(runner)
+        specs = supervise.full_matrix_specs(runner)
         pairs = {(s.app, s.input_name) for s in specs}
         assert pairs == set(runner.cells())
         names = {s.prefetcher for s in specs}

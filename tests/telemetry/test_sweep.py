@@ -2,7 +2,14 @@
 
 import json
 
-from repro.telemetry.check import check_chrome_trace, check_events_jsonl, check_tree
+import pytest
+
+from repro.telemetry.check import (
+    CheckFailure,
+    check_chrome_trace,
+    check_events_jsonl,
+    check_tree,
+)
 from repro.telemetry.sweep import SWEEP_EVENTS_NAME, SWEEP_TRACE_NAME, SweepTelemetry
 
 
@@ -51,3 +58,36 @@ def test_check_tree_accepts_sweep_only_root(tmp_path):
     tel.write()
     summary = check_tree(tmp_path, [])
     assert "sweep telemetry present" in summary
+
+
+def test_missing_required_field_fails_check(tmp_path):
+    path = tmp_path / SWEEP_EVENTS_NAME
+    path.write_text(
+        json.dumps({"ev": "cell.done", "t": 1.0, "worker": 0, "cell": "c", "attempt": 1})
+        + "\n"
+    )
+    with pytest.raises(CheckFailure, match="cell.done.*'duration_s'"):
+        check_events_jsonl(path, require_cycle=False, sweep_schema=True)
+
+
+def test_unknown_event_kind_tolerated(tmp_path):
+    # Forward compatibility: new emitters must not break old checkers.
+    path = tmp_path / SWEEP_EVENTS_NAME
+    path.write_text(json.dumps({"ev": "cell.someday", "t": 1.0}) + "\n")
+    assert check_events_jsonl(path, require_cycle=False, sweep_schema=True) == 1
+
+
+def test_check_tree_applies_sweep_schema(tmp_path):
+    tel = SweepTelemetry(tmp_path)
+    tel.cell_started(0, "pagerank/urand/rnr", attempt=1)
+    tel.cell_finished(0, "pagerank/urand/rnr", "done", 1, 0.25)
+    tel.write()
+    assert "sweep telemetry present" in check_tree(tmp_path, [])
+    # A cell event stripped of a required field must fail the tree scan.
+    path = tmp_path / SWEEP_EVENTS_NAME
+    events = [json.loads(line) for line in path.read_text().splitlines()]
+    for event in events:
+        event.pop("cell", None)
+    path.write_text("\n".join(json.dumps(event) for event in events) + "\n")
+    with pytest.raises(CheckFailure):
+        check_tree(tmp_path, [])
