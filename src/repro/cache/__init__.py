@@ -1,13 +1,12 @@
-"""Cache substrate: set-associative caches with LRU replacement, MSHRs,
-prefetch-bit accounting per line, and the private-L1/private-L2/shared-LLC
-hierarchy of paper Table II."""
+"""Cache substrate: set-associative caches with dict-order LRU replacement,
+MSHRs, prefetch-bit accounting per line, and the private-L1/private-L2/
+shared-LLC hierarchy of paper Table II."""
 
 from repro.cache.line import CacheLine
-from repro.cache.replacement import LRUPolicy, RandomPolicy, ReplacementPolicy
 from repro.cache.mshr import MSHRFile
 from repro.cache.cache import Cache
 from repro.cache.hierarchy import AccessResult, CacheHierarchy, L2Event
-from repro.cache.tlb import PageTableWalker, Tlb
+from repro.cache.tlb import Tlb
 
 __all__ = [
     "AccessResult",
@@ -15,10 +14,6 @@ __all__ = [
     "CacheHierarchy",
     "CacheLine",
     "L2Event",
-    "LRUPolicy",
     "MSHRFile",
-    "PageTableWalker",
-    "RandomPolicy",
-    "ReplacementPolicy",
     "Tlb",
 ]

@@ -1,4 +1,10 @@
-"""Set-associative cache structure."""
+"""Set-associative cache structure.
+
+Replacement is LRU, kept in dict insertion order: each set is a dict
+keyed by tag, a hit or fill moves the line to the end of its set, and the
+victim is the set's first key.  The paper's ChampSim baseline uses LRU
+everywhere, so this is the only policy.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.cache.line import CacheLine
 from repro.cache.mshr import MSHRFile
-from repro.cache.replacement import LRUPolicy, ReplacementPolicy
 from repro.config import CacheConfig
 
 EvictionCallback = Callable[[int, CacheLine], None]
@@ -15,29 +20,17 @@ EvictionCallback = Callable[[int, CacheLine], None]
 class Cache:
     """One cache level, addressed by *line address* (byte address // 64).
 
-    Sets are dicts keyed by tag, so lookup is O(1) and victim selection is
-    O(ways).  Eviction of a valid line is reported through an optional
-    callback so the hierarchy can propagate dirty data and account for
-    unused prefetches.
+    Sets are dicts keyed by tag in recency order (least recent first), so
+    lookup, promotion and victim selection are all O(1).  Eviction of a
+    valid line is reported through an optional callback so the hierarchy
+    can propagate dirty data and account for unused prefetches.
     """
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        policy: Optional[ReplacementPolicy] = None,
-    ):
+    def __init__(self, config: CacheConfig):
         self.config = config
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._sets: list[Dict[int, CacheLine]] = [dict() for _ in range(self._num_sets)]
-        self._policy = policy if policy is not None else LRUPolicy()
-        # Fast path for the default tick-LRU: dict insertion order *is*
-        # recency order (hits and fills move the line to the end of its
-        # set), so the victim is the first key — O(1) instead of an
-        # O(ways) scan, with victim choice identical to the tick policy
-        # (ticks strictly increase, so there are never ties to break).
-        # Custom policies keep the protocol dispatch.
-        self._dict_lru = type(self._policy) is LRUPolicy
         self.mshr = MSHRFile(config.mshr_entries)
 
     # ------------------------------------------------------------------
@@ -51,11 +44,8 @@ class Cache:
         lines = self._sets[line_addr % num_sets]
         line = lines.get(tag)
         if line is not None:
-            if self._dict_lru:
-                del lines[tag]
-                lines[tag] = line
-            else:
-                self._policy.touch(line)
+            del lines[tag]
+            lines[tag] = line
         return line
 
     def probe(self, line_addr: int) -> Optional[CacheLine]:
@@ -64,19 +54,18 @@ class Cache:
         return self._sets[line_addr % num_sets].get(line_addr // num_sets)
 
     def demand_probe_state(self):
-        """``(sets, num_sets, dict_lru)`` for engine-side inlined probes.
+        """``(sets, num_sets)`` for inlined probes.
 
-        The engine hot loops inline the L1 hit check as one dict probe:
+        The engine hot loops and the hierarchy's miss path inline a hit
+        check as one dict probe:
         ``sets[line_addr % num_sets].get(line_addr // num_sets)``.  The
-        contract the caller must uphold when ``dict_lru`` is True: a hit
-        must be promoted by deleting and re-inserting the key (insertion
-        order *is* recency order, see :meth:`lookup`).  When ``dict_lru``
-        is False a custom replacement policy is installed and callers
-        must go through :meth:`lookup` instead.  The ``sets`` list and
-        its dicts are mutated in place for the cache's whole lifetime
-        (never replaced), so hoisting them across a run is safe.
+        caller must promote a hit by deleting and re-inserting its key
+        (insertion order *is* recency order, see :meth:`lookup`).  The
+        ``sets`` list and its dicts are mutated in place for the cache's
+        whole lifetime (never replaced), so hoisting them across a run is
+        safe.
         """
-        return self._sets, self._num_sets, self._dict_lru
+        return self._sets, self._num_sets
 
     def fill(
         self,
@@ -96,13 +85,10 @@ class Cache:
         set_idx = line_addr % num_sets
         tag = line_addr // num_sets
         lines = self._sets[set_idx]
-        dict_lru = self._dict_lru
         line = lines.get(tag)
         if line is None:
             if len(lines) >= self._ways:
-                victim_tag = (
-                    next(iter(lines)) if dict_lru else self._policy.victim(lines)
-                )
+                victim_tag = next(iter(lines))
                 victim = lines.pop(victim_tag)
                 if on_evict is not None:
                     on_evict(victim_tag * num_sets + set_idx, victim)
@@ -118,21 +104,17 @@ class Cache:
                 line.prefetched = False
                 line.pf_window = -1
                 line.arrive = arrive
-                line.lru = 0
             else:
                 line = CacheLine(tag, arrive)
             lines[tag] = line
         else:
             if arrive < line.arrive:
                 line.arrive = arrive
-            if dict_lru:
-                del lines[tag]
-                lines[tag] = line
+            del lines[tag]
+            lines[tag] = line
         line.dirty = line.dirty or dirty
         line.prefetched = prefetched
         line.pf_window = pf_window
-        if not dict_lru:
-            self._policy.touch(line)
         return line
 
     def invalidate(self, line_addr: int) -> Optional[CacheLine]:

@@ -92,8 +92,6 @@ class CacheHierarchy:
         stats: SimStats,
         llc: Optional[Cache] = None,
         prefetch_fill_level: str = "l2",
-        dtlb: Optional["Tlb"] = None,
-        page_walk_cycles: int = 50,
     ):
         if prefetch_fill_level not in ("l2", "llc"):
             raise ValueError(
@@ -111,11 +109,6 @@ class CacheHierarchy:
         # None unless a run's collector is enabled; every hook call below
         # sits off the L1-hit fast path, so disabled runs pay nothing.
         self.tracer = None
-        # Optional data-side TLB (off by default: the calibrated timing
-        # model folds common-case translation into the L1 latency, as
-        # trace-driven ChampSim configurations typically do).
-        self.dtlb = dtlb
-        self.page_walk_cycles = page_walk_cycles
         self._l1_latency = config.l1d.latency
         self._l2_latency = config.l2.latency
         self._llc_latency = config.llc.latency
@@ -144,12 +137,8 @@ class CacheHierarchy:
         self._llc_mshr_entries = self._llc_mshr.entries
         # L2/LLC set-dict probe state for the inlined lookups (see
         # Cache.demand_probe_state for the promotion contract).
-        self._l2_sets, self._l2_nsets, self._l2_dict_lru = (
-            self.l2.demand_probe_state()
-        )
-        self._llc_sets, self._llc_nsets, self._llc_dict_lru = (
-            self.llc.demand_probe_state()
-        )
+        self._l2_sets, self._l2_nsets = self.l2.demand_probe_state()
+        self._llc_sets, self._llc_nsets = self.llc.demand_probe_state()
 
     # ------------------------------------------------------------------
     # Eviction handlers (dirty propagation + prefetch-bit accounting)
@@ -197,8 +186,8 @@ class CacheHierarchy:
         """Emit one load record.
 
         Returns a fresh :class:`AccessResult` the caller may keep.  The
-        engine hot loops bypass this wrapper and call :meth:`_demand` /
-        :meth:`demand_miss` directly, which reuse one result object.
+        engine's fast loops probe the L1 themselves and call
+        :meth:`_demand_miss` directly, which reuses one result object.
         """
         r = self._demand(address, cycle, False)
         return AccessResult(r.completion, r.latency, r.l2_event, r.line_addr)
@@ -215,10 +204,6 @@ class CacheHierarchy:
         this hierarchy — consume it before then (the engine loops do).
         """
         line_addr = address // LINE_SIZE
-
-        dtlb = self.dtlb
-        if dtlb is not None and not dtlb.access(address):
-            cycle += self.page_walk_cycles  # page-table walk before access
 
         # L1 --------------------------------------------------------------
         l1_stats = self.stats.l1d
@@ -239,22 +224,6 @@ class CacheHierarchy:
             return result
         l1_stats.demand_misses += 1
         return self._demand_miss(line_addr, cycle, at_l1, is_store)
-
-    def demand_miss(self, line_addr: int, cycle: int, is_store: bool) -> AccessResult:
-        """Fast-path entry for engine loops that probed (and missed) L1
-        inline themselves.
-
-        The caller has already done the L1 set-dict probe (see
-        :meth:`~repro.cache.cache.Cache.demand_probe_state`) and found no
-        resident line; this method accounts the miss and continues down
-        the L2/LLC/memory path.  Only valid when the hierarchy has no
-        D-TLB (the engine checks before choosing the inlined loop).
-        Returns the reusable result object, like :meth:`_demand`.
-        """
-        l1_stats = self.stats.l1d
-        l1_stats.demand_accesses += 1
-        l1_stats.demand_misses += 1
-        return self._demand_miss(line_addr, cycle, cycle + self._l1_latency, is_store)
 
     def _demand_miss(
         self, line_addr: int, cycle: int, at_l1: int, is_store: bool
@@ -283,16 +252,13 @@ class CacheHierarchy:
         l2 = self.l2
         l2_stats = stats.l2
         l2_stats.demand_accesses += 1
-        if self._l2_dict_lru:
-            nsets = self._l2_nsets
-            l2_lines = self._l2_sets[line_addr % nsets]
-            l2_tag = line_addr // nsets
-            l2_line = l2_lines.get(l2_tag)
-            if l2_line is not None:
-                del l2_lines[l2_tag]
-                l2_lines[l2_tag] = l2_line
-        else:
-            l2_line = l2.lookup(line_addr)
+        nsets = self._l2_nsets
+        l2_lines = self._l2_sets[line_addr % nsets]
+        l2_tag = line_addr // nsets
+        l2_line = l2_lines.get(l2_tag)
+        if l2_line is not None:
+            del l2_lines[l2_tag]
+            l2_lines[l2_tag] = l2_line
         at_l2 = l1_issue + self._l2_latency
         result = self._result
         if l2_line is not None:
@@ -341,16 +307,13 @@ class CacheHierarchy:
         else:
             issue = at_l2
         llc_stats.demand_accesses += 1
-        if self._llc_dict_lru:
-            nsets = self._llc_nsets
-            llc_lines = self._llc_sets[line_addr % nsets]
-            llc_tag = line_addr // nsets
-            llc_line = llc_lines.get(llc_tag)
-            if llc_line is not None:
-                del llc_lines[llc_tag]
-                llc_lines[llc_tag] = llc_line
-        else:
-            llc_line = llc.lookup(line_addr)
+        nsets = self._llc_nsets
+        llc_lines = self._llc_sets[line_addr % nsets]
+        llc_tag = line_addr // nsets
+        llc_line = llc_lines.get(llc_tag)
+        if llc_line is not None:
+            del llc_lines[llc_tag]
+            llc_lines[llc_tag] = llc_line
         at_llc = issue + self._llc_latency
         if llc_line is not None:
             llc_stats.demand_hits += 1

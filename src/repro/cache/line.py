@@ -12,7 +12,7 @@ class CacheLine:
     (or, for a prefetch, a *late* prefetch).
     """
 
-    __slots__ = ("tag", "dirty", "prefetched", "pf_window", "arrive", "lru")
+    __slots__ = ("tag", "dirty", "prefetched", "pf_window", "arrive")
 
     def __init__(self, tag: int, arrive: int = 0):
         self.tag = tag
@@ -20,7 +20,6 @@ class CacheLine:
         self.prefetched = False
         self.pf_window = -1
         self.arrive = arrive
-        self.lru = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         flags = "".join(

@@ -2,9 +2,8 @@
 
 RnR performs its own virtual-to-physical translation for metadata writes
 and reads; since the metadata is contiguous and uses 4 MB pages, one TLB
-lookup per page suffices (Section V-A step 6).  This module provides the
-generic structure used both for that accounting and for the data-side TLB
-ablation.
+lookup per page suffices (Section V-A step 6).  The RnR metadata tables
+use this structure for that accounting.
 """
 
 from __future__ import annotations
@@ -51,16 +50,3 @@ class Tlb:
         self._mapped.clear()
         self.hits = 0
         self.misses = 0
-
-
-class PageTableWalker:
-    """Latency model for a TLB miss: a fixed page-walk cost in cycles."""
-
-    def __init__(self, walk_cycles: int = 50):
-        self.walk_cycles = walk_cycles
-        self.walks = 0
-
-    def walk(self) -> int:
-        """Charge one page walk; returns its latency."""
-        self.walks += 1
-        return self.walk_cycles

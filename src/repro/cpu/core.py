@@ -45,13 +45,7 @@ class Core:
         total = gap_instructions + self._gap_remainder
         self.cycle += total // self._width
         self._gap_remainder = total % self._width
-        # _drain_completed inlined (one call per trace entry adds up).
-        pending = self._pending
-        cycle = self.cycle
-        while pending and pending[0][1] <= cycle:
-            pending.popleft()
-
-    def _drain_completed(self) -> None:
+        # Drop loads that have completed by the new cycle.
         pending = self._pending
         cycle = self.cycle
         while pending and pending[0][1] <= cycle:
@@ -60,8 +54,8 @@ class Core:
     # ------------------------------------------------------------------
     def issue_cycle(self) -> int:
         """The cycle at which the next memory reference can issue."""
-        # Hot path: _drain_completed and _stall_for_structures inlined
-        # (one call per memory reference each adds up).
+        # Hot path, one call per memory reference: drop completed loads,
+        # then stall until the ROB and LSQ have room.
         pending = self._pending
         cycle = self.cycle
         while pending and pending[0][1] <= cycle:

@@ -12,12 +12,15 @@ content hash of everything that can change a cell's statistics:
 * the prefetcher name and control mode,
 * the package version (so model changes invalidate stale results).
 
-Writes are atomic (temp file + ``os.replace``) so a killed sweep never
-leaves a half-written entry, and loads tolerate corruption: every entry
-carries a framed header (magic, CRC32, payload length) that is verified
-before unpickling, so a truncated or bit-flipped file — not just garbage
-bytes — is detected deterministically, treated as a miss, counted, and
-deleted.
+Writes are atomic and first-winner: an entry is staged in a temp file
+and hard-linked (``os.link``) to its final name, so of two racing writers
+the first entry stands, and a killed sweep never leaves a half-written
+entry.  A filesystem without hard links falls back to an atomic
+``os.replace``, where the last rename wins.  Loads tolerate corruption:
+every entry carries a framed header (magic, CRC32, payload length) that
+is verified before unpickling, so a truncated or bit-flipped file — not
+just garbage bytes — is detected deterministically, treated as a miss,
+counted, and deleted.
 
 Enable it by passing ``cache_dir=`` to ``ExperimentRunner`` or by setting
 the ``RNR_CACHE_DIR`` environment variable (the CLI's ``--cache-dir`` flag

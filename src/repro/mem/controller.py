@@ -56,11 +56,6 @@ class MemoryController:
         self.reads_serviced = 0
         self.writes_serviced = 0
 
-    @property
-    def dram(self) -> DramBankModel:
-        """The underlying DRAM model."""
-        return self._dram
-
     def reset(self) -> None:
         """Clear all state."""
         self._dram.reset()
@@ -76,27 +71,6 @@ class MemoryController:
     def _to_mem(self, core_cycle: int) -> float:
         return core_cycle / self._ratio
 
-    def _to_core(self, mem_cycle: float) -> int:
-        return int(mem_cycle * self._ratio) + 1
-
-    # ------------------------------------------------------------------
-    # Queue-occupancy modelling
-    # ------------------------------------------------------------------
-    def _retire_completed(self, now_mem: float) -> None:
-        for heap in (self._outstanding_reads, self._outstanding_demand):
-            while heap and heap[0] <= now_mem:
-                heapq.heappop(heap)
-
-    def _read_queue_delay(self, now_mem: float) -> float:
-        """If the read queue is full, wait for the oldest entry to retire."""
-        if len(self._outstanding_reads) < self._config.read_queue:
-            return now_mem
-        return max(now_mem, self._outstanding_reads[0])
-
-    def _prefetch_penalty(self) -> float:
-        """Demand-priority: prefetch waits behind pending demand transfers."""
-        return len(self._outstanding_demand) * self._config.timing.tBURST
-
     # ------------------------------------------------------------------
     # Public interface
     # ------------------------------------------------------------------
@@ -104,8 +78,8 @@ class MemoryController:
         """Service a line read; returns the completion time in core cycles."""
         if kind not in _READ_KINDS:
             raise ValueError(f"read() called with non-read kind {kind}")
-        # Hot path (one call per LLC miss): _to_mem/_retire_completed/
-        # _read_queue_delay inlined, with the same arithmetic.
+        # Hot path (one call per LLC miss); times below are in memory
+        # cycles until the final conversion.
         ratio = self._ratio
         now = core_cycle / ratio
         reads = self._outstanding_reads

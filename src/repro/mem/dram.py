@@ -16,7 +16,7 @@ core cycles at the boundary.
 from __future__ import annotations
 
 from repro.config import LINE_SIZE, MemoryConfig
-from repro.mem.address import AddressMapping, DramLocation
+from repro.mem.address import AddressMapping
 
 
 class _BankState:
@@ -38,7 +38,6 @@ class DramBankModel:
 
     def __init__(self, config: MemoryConfig):
         self._timing = config.timing
-        self._mapping = AddressMapping(config)
         self._banks_per_channel = config.banks * config.ranks
         self._banks = [
             _BankState()
@@ -57,17 +56,12 @@ class DramBankModel:
         self._tBURST = timing.tBURST
         self._tWTR = timing.tWTR
         self._tRTW = timing.tRTW
-        mapping = self._mapping
+        mapping = AddressMapping(config)
         self._row_bytes = LINE_SIZE * mapping.lines_per_row
         self._map_banks = mapping._banks
         self._map_ranks = mapping._ranks
         self._map_channels = mapping._channels
         self._num_banks = len(self._banks)
-
-    @property
-    def mapping(self) -> AddressMapping:
-        """The address-mapping helper."""
-        return self._mapping
 
     def reset(self) -> None:
         """Clear all state."""
@@ -78,13 +72,6 @@ class DramBankModel:
         self._last_was_write = [False] * len(self._last_was_write)
         self.row_hits = 0
         self.row_conflicts = 0
-
-    def _bank_index(self, loc: DramLocation) -> int:
-        return (
-            loc.channel * self._banks_per_channel
-            + loc.rank * 0
-            + loc.bank
-        ) % len(self._banks)
 
     def service(self, address: int, arrival: int, is_write: bool) -> int:
         """Service one line transfer; returns the completion time.

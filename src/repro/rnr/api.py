@@ -26,7 +26,7 @@ hardware-software interface" of the paper.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.trace.address_space import AddressSpace, Region
 from repro.trace.builder import TraceBuilder
@@ -35,8 +35,8 @@ from repro.trace.builder import TraceBuilder
 class _AddrBase:
     """The ``AddrBase`` sub-interface."""
 
-    def __init__(self, owner: "RnRInterface"):
-        self._owner = owner
+    def __init__(self, emit: Callable[..., None]):
+        self._emit = emit
 
     def set(self, region: Region, count: Optional[int] = None) -> None:
         """Register a data structure: ``RnR.AddrBase.set(p, N)``.
@@ -49,46 +49,46 @@ class _AddrBase:
             raise ValueError(
                 f"AddrBase.set: bad element count {count} for region {region.name}"
             )
-        self._owner._emit("rnr.addr_base.set", region.base, size)
+        self._emit("rnr.addr_base.set", region.base, size)
 
     def enable(self, region: Region) -> None:
-        self._owner._emit("rnr.addr_base.enable", region.base)
+        self._emit("rnr.addr_base.enable", region.base)
 
     def disable(self, region: Region) -> None:
-        self._owner._emit("rnr.addr_base.disable", region.base)
+        self._emit("rnr.addr_base.disable", region.base)
 
 
 class _PrefetchState:
     """The ``PrefetchState`` sub-interface."""
 
-    def __init__(self, owner: "RnRInterface"):
-        self._owner = owner
+    def __init__(self, emit: Callable[..., None]):
+        self._emit = emit
 
     def start(self) -> None:
-        self._owner._emit("rnr.state.start")
+        self._emit("rnr.state.start")
 
     def replay(self) -> None:
-        self._owner._emit("rnr.state.replay")
+        self._emit("rnr.state.replay")
 
     def pause(self) -> None:
-        self._owner._emit("rnr.state.pause")
+        self._emit("rnr.state.pause")
 
     def resume(self) -> None:
-        self._owner._emit("rnr.state.resume")
+        self._emit("rnr.state.resume")
 
     def end(self) -> None:
         """One past the last byte of the region."""
-        self._owner._emit("rnr.state.end")
+        self._emit("rnr.state.end")
 
 
 class _WindowSize:
-    def __init__(self, owner: "RnRInterface"):
-        self._owner = owner
+    def __init__(self, emit: Callable[..., None]):
+        self._emit = emit
 
     def set(self, size: int) -> None:
         if size < 1:
             raise ValueError(f"window size must be >= 1, got {size}")
-        self._owner._emit("rnr.window_size.set", size)
+        self._emit("rnr.window_size.set", size)
 
 
 class RnRInterface:
@@ -115,9 +115,9 @@ class RnRInterface:
         self._asid = asid
         self._initialized = False
         self._alloc_index = 0
-        self.addr_base = _AddrBase(self)
-        self.prefetch_state = _PrefetchState(self)
-        self.window_size = _WindowSize(self)
+        self.addr_base = _AddrBase(builder.directive)
+        self.prefetch_state = _PrefetchState(builder.directive)
+        self.window_size = _WindowSize(builder.directive)
 
     def _emit(self, op: str, *args) -> None:
         self._builder.directive(op, *args)

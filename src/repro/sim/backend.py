@@ -3,9 +3,11 @@
 Two execution backends implement the same simulation semantics (the
 golden-parity suite pins their ``SimStats`` equality):
 
-* ``fast`` — the inlined scalar loops (:mod:`repro.sim.engine`), default;
-* ``straight`` — the pre-fast-path reference loops, bit-identical by
-  contract and kept as the golden oracle.
+* ``fast`` — the two inlined scalar loops (:mod:`repro.sim.engine`),
+  default;
+* ``straight`` — the pre-fast-path reference loop, bit-identical by
+  contract and kept as the golden oracle.  Runs with an enabled telemetry
+  collector take it under either backend.
 
 Resolution mirrors :func:`repro.experiments.supervise.resolve_jobs`:
 explicit argument > ``RNR_ENGINE`` environment variable > ``fast``.

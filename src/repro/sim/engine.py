@@ -8,29 +8,26 @@ interprets embedded RnR directives, and tracks per-phase statistics at the
 An optional telemetry :class:`~repro.telemetry.collector.Collector` can
 observe the run (interval counter sampling, phase/directive events,
 prefetch lifecycle tracing).  The default is the shared null collector:
-``collector.enabled`` is checked once per run and the disabled path
-executes the uninstrumented hot loops.
+``collector.enabled`` is checked once per run, and the disabled path
+executes the uninstrumented fast loops.
 
-Hot-loop structure (see docs/PERFORMANCE.md for the invariants):
+Hot-loop structure (see docs/PERFORMANCE.md for the invariants).  ``run``
+picks one of three loops once per run:
 
-* ``run`` picks one of several specialized loops once per run — with or
-  without telemetry, with or without prefetcher hooks, and *fast* vs
-  *straight*;
-* the **fast** loops inline the L1-hit case: one set-dict probe plus the
-  dict-LRU promotion, core bookkeeping, and a deferred hit counter — no
-  ``CacheHierarchy`` call and no result-object traffic for the
-  overwhelming majority of references in cache-friendly workloads.  L1
-  hit/access counters accumulate in loop-local ints and are flushed into
-  ``SimStats`` at directives, sample points, and run end, so every
-  mid-run observer (phase accounting, the telemetry sampler) still sees
-  exact values;
-* the **straight** loops are the pre-fast-path code shape (everything
-  through ``CacheHierarchy.load``/``store``).  They are kept both as the
-  fallback for configurations the fast path cannot serve (a D-TLB, a
-  non-LRU L1 replacement policy) and as the golden reference: selecting
-  the ``straight`` backend (``--engine straight`` /
-  ``RNR_ENGINE=straight``) forces them, which the parity suite uses to
-  prove the fast loops produce bit-identical statistics.
+* ``_run_straight`` when the collector is enabled or the backend is
+  ``straight`` (``--engine straight`` / ``RNR_ENGINE=straight``): every
+  access goes through ``CacheHierarchy.load``/``store``, both prefetcher
+  hooks are dispatched, and each entry checks for a telemetry sample
+  point.  It is the golden reference the parity suite holds the fast
+  loops to;
+* otherwise ``_run_slim_fast`` when the prefetcher's per-access hooks are
+  the base-class no-ops, else ``_run_hooks_fast``.  The **fast** loops
+  inline the L1-hit case: one set-dict probe plus the dict-LRU
+  promotion, core bookkeeping, and a deferred hit counter, with no
+  ``CacheHierarchy`` call and no result-object traffic.  L1 hit/access
+  counters accumulate in loop-local ints and are flushed into
+  ``SimStats`` at directives and at run end, so phase accounting still
+  sees exact values.
 
 Backend selection is shared with the CLI and the multicore engine
 through :func:`repro.sim.backend.resolve_engine_backend`.
@@ -201,33 +198,18 @@ class SimulationEngine:
         prefetcher = self.prefetcher
         hierarchy = self.hierarchy
         ptype = type(prefetcher)
-        slim = (
-            ptype.on_access is Prefetcher.on_access
-            and ptype.on_l2_event is Prefetcher.on_l2_event
-        )
         backend = resolve_engine_backend(self._engine_choice)
-        _, _, l1_dict_lru = hierarchy.l1.demand_probe_state()
-        fast = (
-            l1_dict_lru
-            and hierarchy.dtlb is None
-            and backend != "straight"
-        )
-
         if collector.enabled:
             collector.on_run_begin(len(trace), self.stats, prefetcher.name)
-            if fast:
-                self._run_telemetry_fast(trace)
-            else:
-                self._run_telemetry(trace)
-        elif fast:
-            if slim:
-                self._run_slim_fast(trace)
-            else:
-                self._run_hooks_fast(trace)
-        elif slim:
-            self._run_slim(trace)
+        if collector.enabled or backend == "straight":
+            self._run_straight(trace)
+        elif (
+            ptype.on_access is Prefetcher.on_access
+            and ptype.on_l2_event is Prefetcher.on_l2_event
+        ):
+            self._run_slim_fast(trace)
         else:
-            self._run_hooks(trace)
+            self._run_hooks_fast(trace)
 
         final_cycle = self.core.finish()
         prefetcher.finalize(final_cycle)
@@ -242,7 +224,7 @@ class SimulationEngine:
     # Fast loops: inlined L1-hit handling + deferred hit counters
     # ------------------------------------------------------------------
     def _run_slim_fast(self, trace: Trace) -> None:
-        """No telemetry, base-class prefetcher hooks: the leanest loop.
+        """Base-class (no-op) prefetcher hooks: the leanest loop.
 
         An L1 hit costs one dict probe, the dict-LRU promotion, and core
         bookkeeping; only misses enter the hierarchy (allocation-free via
@@ -255,7 +237,7 @@ class SimulationEngine:
         retire_store = core.retire_store
         hierarchy = self.hierarchy
         demand_miss = hierarchy._demand_miss
-        sets, num_sets, _ = hierarchy.l1.demand_probe_state()
+        sets, num_sets = hierarchy.l1.demand_probe_state()
         l1_latency = hierarchy.l1.config.latency
         l1_stats = self.stats.l1d
         handle_directive = self._handle_directive
@@ -317,7 +299,7 @@ class SimulationEngine:
             l1_stats.demand_misses += l1_misses
 
     def _run_hooks_fast(self, trace: Trace) -> None:
-        """No telemetry, real prefetcher hooks, inlined L1-hit handling.
+        """Real prefetcher hooks, inlined L1-hit handling.
 
         ``on_access`` still fires for every reference (prefetchers train
         on the full access stream); ``on_l2_event`` only fires when the
@@ -330,7 +312,7 @@ class SimulationEngine:
         retire_store = core.retire_store
         hierarchy = self.hierarchy
         demand_miss = hierarchy._demand_miss
-        sets, num_sets, _ = hierarchy.l1.demand_probe_state()
+        sets, num_sets = hierarchy.l1.demand_probe_state()
         l1_latency = hierarchy.l1.config.latency
         l1_stats = self.stats.l1d
         prefetcher = self.prefetcher
@@ -395,110 +377,20 @@ class SimulationEngine:
             l1_stats.demand_hits += l1_hits
             l1_stats.demand_misses += l1_misses
 
-    def _run_telemetry_fast(self, trace: Trace) -> None:
-        """Telemetry loop with the inlined L1-hit fast path.
+    # ------------------------------------------------------------------
+    # Straight loop: the pre-fast-path code shape (golden reference)
+    # ------------------------------------------------------------------
+    def _run_straight(self, trace: Trace) -> None:
+        """Every access through ``load()``/``store()``, both hooks
+        dispatched, one sample-point check per entry.
 
-        Same dispatch as :meth:`_run_hooks_fast` plus one cycle
-        comparison per entry for the interval sampler.  The deferred L1
-        counters are flushed *before* every sample so the sampler's
-        column sums still reconcile exactly with the final ``SimStats``.
+        Serves the ``straight`` backend and every run with an enabled
+        collector.  The base hooks are no-ops and the null collector's
+        ``next_sample`` is never reached, so the same loop serves
+        baseline, hooked and telemetry runs.
         """
         collector = self.collector
         core = self.core
-        issue_after = core.issue_after
-        advance = core.advance
-        retire_load = core.retire_load
-        retire_store = core.retire_store
-        hierarchy = self.hierarchy
-        demand_miss = hierarchy._demand_miss
-        sets, num_sets, _ = hierarchy.l1.demand_probe_state()
-        l1_latency = hierarchy.l1.config.latency
-        stats = self.stats
-        l1_stats = stats.l1d
-        prefetcher = self.prefetcher
-        on_access = prefetcher.on_access
-        on_l2_event = prefetcher.on_l2_event
-        maybe_sample = collector.maybe_sample
-        none_event = L2Event.NONE
-        handle_directive = self._handle_directive
-        directive_at = trace.directive_at
-        kind_directive = KIND_DIRECTIVE
-        kind_load = KIND_LOAD
-        line_size = LINE_SIZE
-        l1_hits = 0
-        l1_misses = 0
-
-        for kind, addr, pc, gap in trace.iter_packed():
-            if kind == kind_directive:
-                if gap:
-                    advance(gap)
-                if l1_hits or l1_misses:
-                    l1_stats.demand_accesses += l1_hits + l1_misses
-                    l1_stats.demand_hits += l1_hits
-                    l1_stats.demand_misses += l1_misses
-                    l1_hits = 0
-                    l1_misses = 0
-                op, args = directive_at(addr)
-                handle_directive(op, args, core.cycle)
-                continue
-            issue = issue_after(gap)
-            is_store = kind != kind_load
-            flagged = on_access(addr, pc, issue, is_store)
-            line_addr = addr // line_size
-            lines = sets[line_addr % num_sets]
-            tag = line_addr // num_sets
-            line = lines.get(tag)
-            if line is not None:
-                del lines[tag]
-                lines[tag] = line
-                l1_hits += 1
-                at_l1 = issue + l1_latency
-                arrive = line.arrive
-                completion = arrive if arrive > at_l1 else at_l1
-                if is_store:
-                    line.dirty = True
-                    retire_store(completion)
-                else:
-                    retire_load(completion)
-            else:
-                l1_misses += 1
-                result = demand_miss(line_addr, issue, issue + l1_latency, is_store)
-                completion = result.completion
-                if is_store:
-                    retire_store(completion)
-                else:
-                    retire_load(completion)
-                if result.l2_event is not none_event:
-                    on_l2_event(
-                        result.line_addr,
-                        pc,
-                        issue,
-                        result.l2_event,
-                        flagged,
-                        completion,
-                    )
-            if core.cycle >= collector.next_sample:
-                if l1_hits or l1_misses:
-                    l1_stats.demand_accesses += l1_hits + l1_misses
-                    l1_stats.demand_hits += l1_hits
-                    l1_stats.demand_misses += l1_misses
-                    l1_hits = 0
-                    l1_misses = 0
-                stats.instructions = core.instructions
-                maybe_sample(core.cycle)
-
-        if l1_hits or l1_misses:
-            l1_stats.demand_accesses += l1_hits + l1_misses
-            l1_stats.demand_hits += l1_hits
-            l1_stats.demand_misses += l1_misses
-
-    # ------------------------------------------------------------------
-    # Straight loops: the pre-fast-path code shape (golden reference)
-    # ------------------------------------------------------------------
-    def _run_telemetry(self, trace: Trace) -> None:
-        """Telemetry loop routing every access through load()/store()."""
-        collector = self.collector
-        core = self.core
         prefetcher = self.prefetcher
         none_event = L2Event.NONE
         advance = core.advance
@@ -538,69 +430,3 @@ class SimulationEngine:
             if core.cycle >= collector.next_sample:
                 stats.instructions = core.instructions
                 maybe_sample(core.cycle)
-
-    def _run_slim(self, trace: Trace) -> None:
-        """Straight loop for prefetchers whose per-access hooks are the
-        base no-ops (baseline / ideal runs): both hook dispatches and the
-        L2-event plumbing drop out."""
-        core = self.core
-        advance = core.advance
-        issue_cycle = core.issue_cycle
-        retire_load = core.retire_load
-        retire_store = core.retire_store
-        load = self.hierarchy.load
-        store = self.hierarchy.store
-        handle_directive = self._handle_directive
-        directive_at = trace.directive_at
-        kind_directive = KIND_DIRECTIVE
-        kind_load = KIND_LOAD
-        for kind, addr, pc, gap in trace.iter_packed():
-            if gap:
-                advance(gap)
-            if kind == kind_directive:
-                op, args = directive_at(addr)
-                handle_directive(op, args, core.cycle)
-                continue
-            issue = issue_cycle()
-            if kind == kind_load:
-                retire_load(load(addr, issue).completion)
-            else:
-                retire_store(store(addr, issue).completion)
-
-    def _run_hooks(self, trace: Trace) -> None:
-        """Straight loop with prefetcher hook dispatch per access."""
-        core = self.core
-        prefetcher = self.prefetcher
-        none_event = L2Event.NONE
-        advance = core.advance
-        issue_cycle = core.issue_cycle
-        retire_load = core.retire_load
-        retire_store = core.retire_store
-        load = self.hierarchy.load
-        store = self.hierarchy.store
-        handle_directive = self._handle_directive
-        directive_at = trace.directive_at
-        kind_directive = KIND_DIRECTIVE
-        kind_load = KIND_LOAD
-        on_access = prefetcher.on_access
-        on_l2_event = prefetcher.on_l2_event
-        for kind, addr, pc, gap in trace.iter_packed():
-            if gap:
-                advance(gap)
-            if kind == kind_directive:
-                op, args = directive_at(addr)
-                handle_directive(op, args, core.cycle)
-                continue
-            issue = issue_cycle()
-            if kind == kind_load:
-                flagged = on_access(addr, pc, issue, False)
-                result = load(addr, issue)
-                retire_load(result.completion)
-            else:
-                flagged = on_access(addr, pc, issue, True)
-                result = store(addr, issue)
-                retire_store(result.completion)
-            if result.l2_event is not none_event:
-                on_l2_event(
-                    result.line_addr, pc, issue, result.l2_event, flagged, result.completion
-                )

@@ -17,12 +17,14 @@ operation (let alone the O(cores) ``min()`` scan this replaces).  The
 finished/drained immediately — in the same shared-controller order as
 the one-entry-at-a-time scheduler — so results are bit-identical.
 
-Per-core traces stream through ``iter_packed()`` and share the engine's
-inlined L1-hit fast path (see :mod:`repro.sim.engine`); a str/Path entry
-is loaded from disk, so store-served binary traces can be passed by path
-without materialising record objects.  Backend selection
-(``fast``/``straight``) goes through the same resolver as the
-single-core engine.
+Per-core traces stream through ``iter_packed()``; a str/Path entry is
+loaded from disk, so store-served binary traces can be passed by path
+without materialising record objects.  The backend, resolved once per
+run through the same resolver as the single-core engine, applies to
+every core: under ``fast`` each core takes the engine's inlined L1-hit
+path (see :mod:`repro.sim.engine`), under ``straight`` every access goes
+through ``CacheHierarchy.load``/``store``.  A core whose prefetcher
+keeps the base no-op hooks skips hook dispatch under either backend.
 """
 
 from __future__ import annotations
@@ -104,8 +106,7 @@ class MulticoreEngine:
         kind_directive = KIND_DIRECTIVE
         kind_load = KIND_LOAD
         line_size = LINE_SIZE
-        backend = resolve_engine_backend(self._engine_choice)
-        straight = backend == "straight"
+        fast = resolve_engine_backend(self._engine_choice) != "straight"
 
         # Per-core scheduler state, indexed by core number.  ``state``
         # holds every per-entry binding hoisted once per core, so run
@@ -138,8 +139,7 @@ class MulticoreEngine:
                 ptype.on_access is Prefetcher.on_access
                 and ptype.on_l2_event is Prefetcher.on_l2_event
             )
-            sets, num_sets, dict_lru = hierarchy.l1.demand_probe_state()
-            fast = dict_lru and hierarchy.dtlb is None and not straight
+            sets, num_sets = hierarchy.l1.demand_probe_state()
             it = trace.iter_packed()
             it_next = it.__next__
             state.append(
@@ -161,7 +161,6 @@ class MulticoreEngine:
                     num_sets,
                     hierarchy.l1.config.latency,
                     engine.stats.l1d,
-                    fast,
                 )
             )
             iters.append(it_next)
@@ -194,7 +193,6 @@ class MulticoreEngine:
                 num_sets,
                 l1_latency,
                 l1_stats,
-                fast,
             ) = state[idx]
             it_next = iters[idx]
             entry = entries[idx]

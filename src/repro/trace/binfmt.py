@@ -253,27 +253,26 @@ def read_trace(path: Union[str, Path], map: bool = True) -> Trace:
 
 def _read_mapped(path, fh, n_entries, dir_len, crc) -> MappedTrace:
     mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    off = _PAYLOAD_OFFSET
+    col = n_entries * 8
+    koff = off + 3 * col
     try:
-        view = memoryview(mm)
-        payload = view[_PAYLOAD_OFFSET:]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            payload.release()
-            view.release()
+        # Every check runs before a column view exists: closing the map
+        # raises BufferError while any view into it is still exported.
+        with memoryview(mm) as view, view[off:] as payload:
+            crc_ok = zlib.crc32(payload) & 0xFFFFFFFF == crc
+        if not crc_ok:
             raise TraceFormatError(f"{path}: payload checksum mismatch")
-        payload.release()
-        col = n_entries * 8
-        off = _PAYLOAD_OFFSET
-        addrs = view[off : off + col].cast("Q")
-        pcs = view[off + col : off + 2 * col].cast("Q")
-        gaps = view[off + 2 * col : off + 3 * col].cast("Q")
-        koff = off + 3 * col
-        kinds = view[koff : koff + n_entries]
-        dirs = _parse_directives(bytes(view[koff + n_entries : koff + n_entries + dir_len]))
-        view.release()
-        return MappedTrace(kinds, addrs, pcs, gaps, dirs, mm, fh, path)
+        dirs = _parse_directives(mm[koff + n_entries : koff + n_entries + dir_len])
     except BaseException:
         mm.close()
         raise
+    with memoryview(mm) as view:
+        addrs = view[off : off + col].cast("Q")
+        pcs = view[off + col : off + 2 * col].cast("Q")
+        gaps = view[off + 2 * col : koff].cast("Q")
+        kinds = view[koff : koff + n_entries]
+    return MappedTrace(kinds, addrs, pcs, gaps, dirs, mm, fh, path)
 
 
 def _read_eager(path, fh, n_entries, dir_len, crc) -> Trace:

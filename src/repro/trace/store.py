@@ -18,12 +18,15 @@ recorded stream:
 * the trace-generator version (the package version, so workload changes
   invalidate stale traces) and the binary format version.
 
-Builds are first-winner: concurrent workers that race on a cold key each
-build and then publish atomically (temp file + ``os.replace``), so the
-last rename wins and every file is always complete.  A corrupt entry —
-truncated, bit-flipped, or from an old format — is detected by the
-framing checks, counted, deleted, and rebuilt, mirroring the disk cell
-cache's degradation discipline.
+Publication is first-winner: concurrent workers that race on a cold key
+each build and stage a complete file, then hard-link it to the final name
+(``os.link``), so the first link wins, the losers count a race and drop
+their copies, and every published file is complete.  Only on a
+filesystem without hard links does ``put`` fall back to an atomic
+``os.replace``, where the last rename wins.  A corrupt entry —
+truncated, bit-flipped, with an unparsable directive table, or from an
+old format — is detected by the framing checks, counted, deleted, and
+rebuilt, mirroring the disk cell cache's degradation discipline.
 
 Enable the store with ``trace_store=`` on ``ExperimentRunner``, the
 ``--trace-store`` CLI flag, or the ``RNR_TRACE_STORE`` environment
@@ -175,7 +178,7 @@ class TraceStore:
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, int]:
-        """Current counter values (hits/misses/builds/stores/corrupt)."""
+        """Current counter values (hits/misses/builds/stores/corrupt/races)."""
         return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def merge_counters(self, delta: Dict[str, int]) -> None:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import Cache
-from repro.cache.replacement import LRUPolicy, RandomPolicy
 from repro.config import CacheConfig
 
 
@@ -117,19 +116,6 @@ class TestProperties:
             cache.fill(line)
         assert cache.occupancy <= 16
         assert cache.occupancy == len({addr for addr, _ in cache.resident_lines()})
-
-    @settings(max_examples=40)
-    @given(
-        st.lists(st.integers(min_value=0, max_value=63), min_size=20, max_size=200),
-        st.integers(min_value=0, max_value=1000),
-    )
-    def test_lru_and_random_same_capacity(self, lines, seed):
-        lru = Cache(CacheConfig("T", 4 * 4 * 64, 4, 4, 1), LRUPolicy())
-        rnd = Cache(CacheConfig("T", 4 * 4 * 64, 4, 4, 1), RandomPolicy(seed))
-        for line in lines:
-            lru.fill(line)
-            rnd.fill(line)
-        assert lru.occupancy == rnd.occupancy  # same set pressure
 
     @settings(max_examples=40)
     @given(st.data())

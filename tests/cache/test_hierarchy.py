@@ -230,39 +230,3 @@ class TestLLCFillDestination:
         hierarchy.prefetch_l2(0x99, 0, pf_window=2)
         hierarchy.drain(10**7)
         assert 0x99 in seen
-
-
-class TestDataTlb:
-    """Optional data-side TLB on the demand path."""
-
-    def _tlb_hierarchy(self, entries=2):
-        from repro.cache.tlb import Tlb
-        from repro.mem.controller import MemoryController
-        from repro.stats import SimStats
-
-        config = SystemConfig.tiny()
-        stats = SimStats()
-        controller = MemoryController(config.memory, config.core)
-        hierarchy = CacheHierarchy(
-            config, controller, stats,
-            dtlb=Tlb(entries=entries, page_bytes=4096),
-            page_walk_cycles=50,
-        )
-        return hierarchy, stats
-
-    def test_tlb_miss_adds_walk_latency(self):
-        hierarchy, _ = self._tlb_hierarchy()
-        cold = hierarchy.load(0x0, 0)
-        warm = hierarchy.load(0x8, cold.completion + 1)  # same page, L1 hit
-        assert cold.latency > warm.latency + 40
-
-    def test_tlb_hit_is_free(self):
-        hierarchy, _ = self._tlb_hierarchy()
-        hierarchy.load(0x0, 0)
-        result = hierarchy.load(0x40, 10_000)  # same page, different line
-        assert hierarchy.dtlb.hits >= 1
-        assert result.latency < 50 + 400  # no second walk charged
-
-    def test_default_hierarchy_has_no_tlb(self, h):
-        hierarchy, _ = h
-        assert hierarchy.dtlb is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.tlb import PageTableWalker, Tlb
+from repro.cache.tlb import Tlb
 
 
 class TestTlb:
@@ -44,11 +44,3 @@ class TestTlb:
         tlb.reset()
         assert tlb.hits == 0 and tlb.misses == 0
         assert not tlb.access(0)
-
-
-class TestPageTableWalker:
-    def test_walk_counts_and_cost(self):
-        walker = PageTableWalker(walk_cycles=42)
-        assert walker.walk() == 42
-        assert walker.walk() == 42
-        assert walker.walks == 2

@@ -14,6 +14,7 @@ from repro.trace.binfmt import MappedTrace
 from repro.trace.record import KIND_LOAD
 from repro.trace.store import TraceStore, trace_key
 from repro.trace.trace import Trace
+from tests.helpers import clobber_directive_table
 
 SPECS = [
     CellSpec("pagerank", "urand", "baseline"),
@@ -99,6 +100,16 @@ class TestStoreCounters:
         fresh = store.get(key)
         assert fresh is not None
         fresh.close()
+
+    def test_unparsable_directive_table_rebuilds(self, tmp_path):
+        store = TraceStore(tmp_path)
+        key = trace_key(**BASE_KEY)
+        store.put(key, self._trace())
+        clobber_directive_table(store._path(key))
+        rebuilt = store.get_or_build(key, self._trace)
+        assert list(rebuilt) == list(self._trace())
+        assert store.corrupt == 1
+        assert store.builds == 1
 
     def test_merge_and_since(self, tmp_path):
         store = TraceStore(tmp_path)

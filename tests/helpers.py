@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import zlib
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SystemConfig
 from repro.mem.controller import MemoryController
 from repro.stats import SimStats
+from repro.trace import binfmt
 
 
 def make_hierarchy(
@@ -37,3 +40,14 @@ class PrefetchProbe:
     @property
     def lines(self) -> List[int]:
         return [line for line, _ in self.issued]
+
+
+def clobber_directive_table(path: Path) -> None:
+    """Overwrite a binary trace's directive table with ``{`` bytes and
+    recompute the header CRC, so only the JSON parse can reject it."""
+    raw = bytearray(path.read_bytes())
+    magic, version, flags, entries, dir_len, _ = binfmt._HEADER.unpack_from(raw)
+    raw[len(raw) - dir_len:] = b"{" * dir_len
+    crc = zlib.crc32(bytes(raw[binfmt._PAYLOAD_OFFSET:])) & 0xFFFFFFFF
+    binfmt._HEADER.pack_into(raw, 0, magic, version, flags, entries, dir_len, crc)
+    path.write_bytes(bytes(raw))

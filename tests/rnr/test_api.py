@@ -1,5 +1,8 @@
 """Tests for the Table I programming interface."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.rnr.api import RnRInterface
@@ -105,6 +108,27 @@ class TestStateAndWindow:
         rnr, _, _, _ = api
         with pytest.raises(ValueError):
             rnr.window_size.set(0)
+
+
+class TestLifetime:
+    def test_dropping_the_interface_frees_the_builder(self):
+        """The sub-interfaces hold no reference back to the interface, so
+        the builder and the trace it holds are freed by reference
+        counting, not left for the cycle collector."""
+        builder = TraceBuilder()
+        space = AddressSpace()
+        rnr = RnRInterface(builder, space)
+        rnr.init()
+        rnr.addr_base.set(space.alloc("data", 1000, 8))
+        rnr.prefetch_state.start()
+        rnr.window_size.set(8)
+        ref = weakref.ref(builder)
+        gc.disable()
+        try:
+            del rnr, builder
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestEstimateCapacity:

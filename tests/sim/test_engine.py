@@ -3,8 +3,11 @@
 import pytest
 
 from repro.config import LINE_SIZE, SystemConfig
+from repro.prefetchers import make_prefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.sim.engine import SimulationEngine
+from repro.telemetry.collector import TelemetryCollector
+from repro.telemetry.config import TelemetryConfig
 from repro.trace.builder import TraceBuilder
 
 
@@ -74,6 +77,55 @@ class TestPhases:
         builder.iter_end(1)
         with pytest.raises(ValueError):
             SimulationEngine(tiny_config).run(builder.build())
+
+
+class TestLoopDispatch:
+    """``run`` picks exactly one of three loops per run."""
+
+    def test_engine_defines_three_loops(self):
+        loops = sorted(name for name in vars(SimulationEngine) if name.startswith("_run_"))
+        assert loops == ["_run_hooks_fast", "_run_slim_fast", "_run_straight"]
+
+    @pytest.mark.parametrize(
+        "prefetcher, backend, telemetry, expected",
+        [
+            (None, "fast", False, "_run_slim_fast"),
+            ("rnr", "fast", False, "_run_hooks_fast"),
+            (None, "straight", False, "_run_straight"),
+            ("rnr", "straight", False, "_run_straight"),
+            (None, "fast", True, "_run_straight"),
+            ("rnr", "fast", True, "_run_straight"),
+        ],
+    )
+    def test_loop_choice(self, prefetcher, backend, telemetry, expected,
+                         tiny_config, monkeypatch):
+        # Wrap every loop by name prefix, as the figure-cell benchmark's
+        # loop probe does.
+        calls = []
+        for name, loop in list(vars(SimulationEngine).items()):
+            if name.startswith("_run_"):
+                monkeypatch.setattr(SimulationEngine, name, _counting(name, loop, calls))
+        collector = (
+            TelemetryCollector(TelemetryConfig(out_dir=None, sample_interval=500))
+            if telemetry
+            else None
+        )
+        engine = SimulationEngine(
+            tiny_config,
+            make_prefetcher(prefetcher) if prefetcher else None,
+            collector=collector,
+            engine=backend,
+        )
+        engine.run(stream_trace(lines=50))
+        assert calls == [expected]
+
+
+def _counting(name, loop, calls):
+    def wrapped(self, trace):
+        calls.append(name)
+        return loop(self, trace)
+
+    return wrapped
 
 
 class TestPrefetcherIntegration:

@@ -14,8 +14,9 @@ two implementations interchangeable:
 * RnR replay-window flips between long hit runs, context switches
   (pause, cache pollution, resume) at several cadences inside hit runs,
   and traces too short to reach a steady state;
-* the telemetry loops: fast vs straight under an enabled collector,
-  including the sampled time series;
+* telemetry: an enabled collector runs the straight loop under either
+  backend, with the same sampled time series, and its stats equal a
+  collector-free fast run;
 * a 1-core :class:`MulticoreEngine` vs a plain :class:`SimulationEngine`
   on the same trace: exact equality (the merge scheduler degenerates to
   the single-core loop);
@@ -208,9 +209,9 @@ class TestFastVsStraight:
 
     def test_telemetry_collector_parity(self, rnr_trace, monkeypatch,
                                         tmp_path):
-        # An enabled collector selects _run_telemetry_fast vs
-        # _run_telemetry; sample points land between deferred L1-counter
-        # flushes, so both the stats and the sampled rows must agree.
+        # An enabled collector runs the straight loop under either
+        # backend: the stats and the sampled rows must agree, and the
+        # stats must equal a collector-free run of the fast loop.
         def collected(backend):
             collector = TelemetryCollector(
                 TelemetryConfig(out_dir=str(tmp_path / backend),
@@ -226,6 +227,7 @@ class TestFastVsStraight:
         assert fast_stats == straight_stats
         assert len(fast_rows) > 1
         assert fast_rows == straight_rows
+        assert fast_stats == run_single(rnr_trace, "rnr", "fast", monkeypatch)
 
 
 class TestMulticoreParity:

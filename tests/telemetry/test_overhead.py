@@ -130,10 +130,9 @@ def test_null_collector_is_free_on_hooks_loop():
 
 
 @pytest.mark.parametrize("prefetcher_name", [None, "rnr"])
-def test_sampler_totals_reconcile_with_deferred_flushes(prefetcher_name):
-    """The fast loops defer L1 hit/miss accounting in loop locals; every
-    sample point must see flushed counters, so the sampler's column sums
-    reconcile *exactly* with the end-of-run totals."""
+def test_sampler_totals_reconcile(prefetcher_name):
+    """The sampler's column sums reconcile *exactly* with the end-of-run
+    totals: every sample point sees up-to-date counters."""
     trace = build_trace(accesses=8_000)
     collector = TelemetryCollector(
         TelemetryConfig(out_dir=None, sample_interval=500)
@@ -147,7 +146,7 @@ def test_sampler_totals_reconcile_with_deferred_flushes(prefetcher_name):
     totals = collector.sampler.totals()
     final = engine.stats.flat_counters()
     assert totals == final
-    # The deferred counters specifically: nonzero and exactly reconciled.
+    # The L1 counters specifically: nonzero and exactly reconciled.
     assert totals["l1d.demand_accesses"] == (
         engine.stats.l1d.demand_hits + engine.stats.l1d.demand_misses
     )

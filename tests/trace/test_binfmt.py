@@ -27,6 +27,7 @@ from repro.trace.binfmt import (
 )
 from repro.trace.record import KIND_LOAD, KIND_STORE, Directive, TraceRecord
 from repro.trace.trace import Trace
+from tests.helpers import clobber_directive_table
 
 
 def sample_trace() -> Trace:
@@ -199,6 +200,15 @@ class TestCorruption:
         path.write_bytes(bytes(raw))
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+    def test_bad_directive_table_under_valid_crc_mapped(self, tmp_path):
+        """The JSON parse, not the CRC, rejects the table; the mapped read
+        must still raise TraceFormatError, with no column view left
+        exported when the map closes."""
+        path = write_trace(sample_trace(), tmp_path / "t.rnrt")
+        clobber_directive_table(path)
+        with pytest.raises(TraceFormatError, match="directive table"):
+            read_trace(path, map=True)
 
 
 class TestLoadAny:
