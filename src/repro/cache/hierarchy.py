@@ -76,6 +76,7 @@ _EVENT_NONE = L2Event.NONE
 _EVENT_HIT = L2Event.HIT
 _EVENT_PREFETCH_HIT = L2Event.PREFETCH_HIT
 _EVENT_MISS = L2Event.MISS
+_KIND_PREFETCH = RequestKind.PREFETCH
 
 
 # Classifier for prefetched lines evicted before use: (line_addr, pf_window)
@@ -112,19 +113,14 @@ class CacheHierarchy:
         self._l1_latency = config.l1d.latency
         self._l2_latency = config.l2.latency
         self._llc_latency = config.llc.latency
-        # Demand hot-path state: one reusable result object (rewritten per
-        # access — callers must consume it before the next demand access)
-        # and prebound eviction callbacks (``self._evict_from_x`` at a call
-        # site builds a fresh bound method per fill; these are built once).
+        # Demand hot-path state: one reusable result object, rewritten per
+        # access — callers must consume it before the next demand access.
         self._result = AccessResult(0, 0, _EVENT_NONE, 0)
-        self._on_evict_l1 = self._evict_from_l1
-        self._on_evict_l2 = self._evict_from_l2
-        self._on_evict_llc = self._evict_from_llc
-        # MSHR admission is inlined in _demand_miss (same arithmetic as
-        # MSHRFile.acquire/register).  The heap lists are mutated in
-        # place for the file's whole lifetime (reset() clears, never
-        # rebinds), so hoisting them here is safe; stall accounting and
-        # the telemetry hook stay on the MSHRFile and are only touched
+        # MSHR admission is inlined in _demand_miss and prefetch_l2 (same
+        # arithmetic as MSHRFile.acquire/register).  The heap lists are
+        # mutated in place for the file's whole lifetime (reset() clears,
+        # never rebinds), so hoisting them here is safe; stall accounting
+        # and the telemetry hook stay on the MSHRFile and are only touched
         # on the (bounded-occupancy) stall branch.
         self._l1_mshr = self.l1.mshr
         self._l2_mshr = self.l2.mshr
@@ -135,10 +131,14 @@ class CacheHierarchy:
         self._l1_mshr_entries = self._l1_mshr.entries
         self._l2_mshr_entries = self._l2_mshr.entries
         self._llc_mshr_entries = self._llc_mshr.entries
-        # L2/LLC set-dict probe state for the inlined lookups (see
+        # Set-dict state for the inlined probes and fills (see
         # Cache.demand_probe_state for the promotion contract).
+        self._l1_sets, self._l1_nsets = self.l1.demand_probe_state()
         self._l2_sets, self._l2_nsets = self.l2.demand_probe_state()
         self._llc_sets, self._llc_nsets = self.llc.demand_probe_state()
+        self._l1_ways = self.l1.config.ways
+        self._l2_ways = self.l2.config.ways
+        self._llc_ways = self.llc.config.ways
 
     # ------------------------------------------------------------------
     # Eviction handlers (dirty propagation + prefetch-bit accounting)
@@ -150,7 +150,7 @@ class CacheHierarchy:
         if resident is not None:
             resident.dirty = True
         else:
-            self.l2.fill(line_addr, arrive=0, dirty=True, on_evict=self._on_evict_l2)
+            self.l2.fill(line_addr, arrive=0, dirty=True, on_evict=self._evict_from_l2)
 
     def _evict_from_l2(self, line_addr: int, victim: CacheLine) -> None:
         if victim.prefetched:
@@ -165,7 +165,7 @@ class CacheHierarchy:
         if resident is not None:
             resident.dirty = True
         else:
-            self.llc.fill(line_addr, arrive=0, dirty=True, on_evict=self._on_evict_llc)
+            self.llc.fill(line_addr, arrive=0, dirty=True, on_evict=self._evict_from_llc)
 
     def _evict_from_llc(self, line_addr: int, victim: CacheLine) -> None:
         if victim.prefetched:
@@ -229,12 +229,22 @@ class CacheHierarchy:
         self, line_addr: int, cycle: int, at_l1: int, is_store: bool
     ) -> AccessResult:
         # Hot path: every self.x.y chain that runs per access is hoisted
-        # into a local up front, and the per-level MSHR admission and
-        # L2/LLC set-dict probes are inlined (identical arithmetic to
-        # MSHRFile.acquire/register and Cache.lookup); each exit pays
-        # only for what it uses.
+        # into a local up front, and the per-level MSHR admission, the
+        # L2/LLC set-dict probes and the three fills are inlined (identical
+        # arithmetic to MSHRFile.acquire/register, Cache.lookup and
+        # Cache.fill); each exit pays only for what it uses.
+        #
+        # Fill precondition: each fill targets a line known to be absent at
+        # its level.  The caller's L1 probe missed, the L2/LLC probes below
+        # missed, and nothing between a probe and its fill inserts the line
+        # (the eviction handlers only push dirty victims one level down and
+        # report unused prefetches).  So the fills are Cache.fill's insert
+        # branch alone, and must stay in lockstep with it: the set's first
+        # key is the victim, the victim object is recycled with every field
+        # reset, and the eviction handler runs between the pop and the
+        # insert -- here only when it has work: a dirty L1 victim, or a
+        # dirty or prefetched L2/LLC victim.
         stats = self.stats
-        l1 = self.l1
         l1_heap = self._l1_mshr_heap
         while l1_heap and l1_heap[0] <= at_l1:
             heappop(l1_heap)
@@ -249,19 +259,17 @@ class CacheHierarchy:
             l1_issue = at_l1
 
         # L2 --------------------------------------------------------------
-        l2 = self.l2
         l2_stats = stats.l2
         l2_stats.demand_accesses += 1
-        nsets = self._l2_nsets
-        l2_lines = self._l2_sets[line_addr % nsets]
-        l2_tag = line_addr // nsets
+        l2_nsets = self._l2_nsets
+        l2_set = line_addr % l2_nsets
+        l2_lines = self._l2_sets[l2_set]
+        l2_tag = line_addr // l2_nsets
         l2_line = l2_lines.get(l2_tag)
+        at_l2 = l1_issue + self._l2_latency
         if l2_line is not None:
             del l2_lines[l2_tag]
             l2_lines[l2_tag] = l2_line
-        at_l2 = l1_issue + self._l2_latency
-        result = self._result
-        if l2_line is not None:
             event = _EVENT_HIT
             arrive = l2_line.arrive
             completion = arrive if arrive > at_l2 else at_l2
@@ -283,90 +291,128 @@ class CacheHierarchy:
                 l2_line.pf_window = -1
             l2_stats.demand_hits += 1
             heappush(l1_heap, completion)
-            l1.fill(line_addr, completion, is_store, False, -1, self._on_evict_l1)
-            result.completion = completion
-            result.latency = completion - cycle
-            result.l2_event = event
-            result.line_addr = line_addr
-            return result
-        l2_stats.demand_misses += 1
+        else:
+            l2_stats.demand_misses += 1
 
-        # LLC ---------------------------------------------------------------
-        llc = self.llc
-        llc_stats = stats.llc
-        l2_heap = self._l2_mshr_heap
-        while l2_heap and l2_heap[0] <= at_l2:
-            heappop(l2_heap)
-        if len(l2_heap) >= self._l2_mshr_entries:
-            mshr = self._l2_mshr
-            delayed = heappop(l2_heap)
-            mshr.stalls += 1
-            if mshr.on_stall is not None:
-                mshr.on_stall(at_l2, delayed)
-            issue = at_l2 if at_l2 > delayed else delayed
-        else:
-            issue = at_l2
-        llc_stats.demand_accesses += 1
-        nsets = self._llc_nsets
-        llc_lines = self._llc_sets[line_addr % nsets]
-        llc_tag = line_addr // nsets
-        llc_line = llc_lines.get(llc_tag)
-        if llc_line is not None:
-            del llc_lines[llc_tag]
-            llc_lines[llc_tag] = llc_line
-        at_llc = issue + self._llc_latency
-        if llc_line is not None:
-            llc_stats.demand_hits += 1
-            arrive = llc_line.arrive
-            completion = arrive if arrive > at_llc else at_llc
-            if llc_line.prefetched:
-                # LLC-destination prefetching (the Section III ablation):
-                # first demand touch of an LLC-resident prefetched line.
-                stats.prefetch.useful += 1
-                if self.tracer is not None:
-                    self.tracer.on_prefetch_hit(
-                        line_addr, at_llc, arrive, llc_line.pf_window
-                    )
-                llc_line.prefetched = False
-                llc_line.pf_window = -1
-        else:
-            llc_stats.demand_misses += 1
-            llc_heap = self._llc_mshr_heap
-            while llc_heap and llc_heap[0] <= at_llc:
-                heappop(llc_heap)
-            if len(llc_heap) >= self._llc_mshr_entries:
-                mshr = self._llc_mshr
-                delayed = heappop(llc_heap)
+            # LLC -----------------------------------------------------------
+            llc_stats = stats.llc
+            l2_heap = self._l2_mshr_heap
+            while l2_heap and l2_heap[0] <= at_l2:
+                heappop(l2_heap)
+            if len(l2_heap) >= self._l2_mshr_entries:
+                mshr = self._l2_mshr
+                delayed = heappop(l2_heap)
                 mshr.stalls += 1
                 if mshr.on_stall is not None:
-                    mshr.on_stall(at_llc, delayed)
-                mem_issue = at_llc if at_llc > delayed else delayed
+                    mshr.on_stall(at_l2, delayed)
+                issue = at_l2 if at_l2 > delayed else delayed
             else:
-                mem_issue = at_llc
-            completion = self.controller.read_demand(line_addr * LINE_SIZE, mem_issue)
-            stats.traffic.demand_lines += 1
-            heappush(llc_heap, completion)
-            llc.fill(line_addr, completion, False, False, -1, self._on_evict_llc)
-        heappush(l1_heap, completion)
-        heappush(l2_heap, completion)
-        l2.fill(line_addr, completion, False, False, -1, self._on_evict_l2)
-        l1.fill(line_addr, completion, is_store, False, -1, self._on_evict_l1)
+                issue = at_l2
+            llc_stats.demand_accesses += 1
+            llc_nsets = self._llc_nsets
+            llc_set = line_addr % llc_nsets
+            llc_lines = self._llc_sets[llc_set]
+            llc_tag = line_addr // llc_nsets
+            llc_line = llc_lines.get(llc_tag)
+            at_llc = issue + self._llc_latency
+            if llc_line is not None:
+                del llc_lines[llc_tag]
+                llc_lines[llc_tag] = llc_line
+                llc_stats.demand_hits += 1
+                arrive = llc_line.arrive
+                completion = arrive if arrive > at_llc else at_llc
+                if llc_line.prefetched:
+                    # LLC-destination prefetching (the Section III ablation):
+                    # first demand touch of an LLC-resident prefetched line.
+                    stats.prefetch.useful += 1
+                    if self.tracer is not None:
+                        self.tracer.on_prefetch_hit(
+                            line_addr, at_llc, arrive, llc_line.pf_window
+                        )
+                    llc_line.prefetched = False
+                    llc_line.pf_window = -1
+            else:
+                llc_stats.demand_misses += 1
+                llc_heap = self._llc_mshr_heap
+                while llc_heap and llc_heap[0] <= at_llc:
+                    heappop(llc_heap)
+                if len(llc_heap) >= self._llc_mshr_entries:
+                    mshr = self._llc_mshr
+                    delayed = heappop(llc_heap)
+                    mshr.stalls += 1
+                    if mshr.on_stall is not None:
+                        mshr.on_stall(at_llc, delayed)
+                    mem_issue = at_llc if at_llc > delayed else delayed
+                else:
+                    mem_issue = at_llc
+                completion = self.controller.read_demand(
+                    line_addr * LINE_SIZE, mem_issue
+                )
+                stats.traffic.demand_lines += 1
+                heappush(llc_heap, completion)
+                # LLC fill (line absent: the lookup above missed).
+                if len(llc_lines) >= self._llc_ways:
+                    victim_tag = next(iter(llc_lines))
+                    victim = llc_lines.pop(victim_tag)
+                    if victim.dirty or victim.prefetched:
+                        self._evict_from_llc(victim_tag * llc_nsets + llc_set, victim)
+                    victim.tag = llc_tag
+                    victim.dirty = False
+                    victim.prefetched = False
+                    victim.pf_window = -1
+                    victim.arrive = completion
+                    llc_lines[llc_tag] = victim
+                else:
+                    llc_lines[llc_tag] = CacheLine(llc_tag, completion)
+            heappush(l1_heap, completion)
+            heappush(l2_heap, completion)
+            # L2 fill (line absent: the probe above missed).
+            if len(l2_lines) >= self._l2_ways:
+                victim_tag = next(iter(l2_lines))
+                victim = l2_lines.pop(victim_tag)
+                if victim.dirty or victim.prefetched:
+                    self._evict_from_l2(victim_tag * l2_nsets + l2_set, victim)
+                victim.tag = l2_tag
+                victim.dirty = False
+                victim.prefetched = False
+                victim.pf_window = -1
+                victim.arrive = completion
+                l2_lines[l2_tag] = victim
+            else:
+                l2_lines[l2_tag] = CacheLine(l2_tag, completion)
+            event = _EVENT_MISS
+
+        # L1 fill (line absent: the caller's probe missed) ----------------
+        l1_nsets = self._l1_nsets
+        l1_set = line_addr % l1_nsets
+        l1_lines = self._l1_sets[l1_set]
+        l1_tag = line_addr // l1_nsets
+        if len(l1_lines) >= self._l1_ways:
+            victim_tag = next(iter(l1_lines))
+            victim = l1_lines.pop(victim_tag)
+            if victim.dirty:
+                self._evict_from_l1(victim_tag * l1_nsets + l1_set, victim)
+            victim.tag = l1_tag
+            victim.dirty = is_store
+            victim.prefetched = False
+            victim.pf_window = -1
+            victim.arrive = completion
+            l1_lines[l1_tag] = victim
+        else:
+            line = CacheLine(l1_tag, completion)
+            line.dirty = is_store
+            l1_lines[l1_tag] = line
+        result = self._result
         result.completion = completion
         result.latency = completion - cycle
-        result.l2_event = _EVENT_MISS
+        result.l2_event = event
         result.line_addr = line_addr
         return result
 
     # ------------------------------------------------------------------
     # Prefetch path (fills into private L2, paper Section III)
     # ------------------------------------------------------------------
-    def prefetch_l2(
-        self,
-        line_addr: int,
-        cycle: int,
-        pf_window: int = -1,
-        kind: RequestKind = RequestKind.PREFETCH,
-    ) -> bool:
+    def prefetch_l2(self, line_addr: int, cycle: int, pf_window: int = -1) -> bool:
         """Issue one prefetch for ``line_addr`` into the configured fill
         level (private L2 by default, Section III; LLC for the ablation).
 
@@ -374,10 +420,19 @@ class CacheHierarchy:
         resident in or in flight to the destination).
         """
         if self.prefetch_fill_level == "llc":
-            return self._prefetch_llc(line_addr, cycle, pf_window, kind)
+            return self._prefetch_llc(line_addr, cycle, pf_window)
+        # Hot path (one call per RnR replayed line): the L2 probe, the LLC
+        # lookup and promotion, the LLC MSHR admission and both fills are
+        # inlined as in _demand_miss, under the same fill precondition --
+        # the probe and the lookup below prove the line absent at each
+        # level before it is filled there.
         stats = self.stats
         tracer = self.tracer
-        resident = self.l2.probe(line_addr)
+        l2_nsets = self._l2_nsets
+        l2_set = line_addr % l2_nsets
+        l2_lines = self._l2_sets[l2_set]
+        l2_tag = line_addr // l2_nsets
+        resident = l2_lines.get(l2_tag)
         if resident is not None:
             if resident.arrive > cycle and not resident.prefetched:
                 # A demand miss to this line is already outstanding: the
@@ -395,60 +450,111 @@ class CacheHierarchy:
                     tracer.on_prefetch_dropped(line_addr, cycle, pf_window)
             return False
         stats.prefetch.issued += 1
-        llc_line = self.llc.lookup(line_addr)
+        llc_nsets = self._llc_nsets
+        llc_set = line_addr % llc_nsets
+        llc_lines = self._llc_sets[llc_set]
+        llc_tag = line_addr // llc_nsets
+        llc_line = llc_lines.get(llc_tag)
         at_llc = cycle + self._llc_latency
         if llc_line is not None:
-            completion = max(at_llc, llc_line.arrive)
+            del llc_lines[llc_tag]
+            llc_lines[llc_tag] = llc_line
+            arrive = llc_line.arrive
+            completion = arrive if arrive > at_llc else at_llc
         else:
-            mem_issue = self.llc.mshr.acquire(at_llc)
-            completion = self.controller.read(line_addr * LINE_SIZE, mem_issue, kind)
+            llc_heap = self._llc_mshr_heap
+            while llc_heap and llc_heap[0] <= at_llc:
+                heappop(llc_heap)
+            if len(llc_heap) >= self._llc_mshr_entries:
+                mshr = self._llc_mshr
+                delayed = heappop(llc_heap)
+                mshr.stalls += 1
+                if mshr.on_stall is not None:
+                    mshr.on_stall(at_llc, delayed)
+                mem_issue = at_llc if at_llc > delayed else delayed
+            else:
+                mem_issue = at_llc
+            completion = self.controller.read(
+                line_addr * LINE_SIZE, mem_issue, _KIND_PREFETCH
+            )
             stats.traffic.prefetch_lines += 1
-            self.llc.mshr.register(completion)
-            self.llc.fill(line_addr, arrive=completion, on_evict=self._on_evict_llc)
+            heappush(llc_heap, completion)
+            # LLC fill (line absent: the lookup above missed).
+            if len(llc_lines) >= self._llc_ways:
+                victim_tag = next(iter(llc_lines))
+                victim = llc_lines.pop(victim_tag)
+                if victim.dirty or victim.prefetched:
+                    self._evict_from_llc(victim_tag * llc_nsets + llc_set, victim)
+                victim.tag = llc_tag
+                victim.dirty = False
+                victim.prefetched = False
+                victim.pf_window = -1
+                victim.arrive = completion
+                llc_lines[llc_tag] = victim
+            else:
+                llc_lines[llc_tag] = CacheLine(llc_tag, completion)
         if tracer is not None:
             tracer.on_prefetch_issued(line_addr, cycle, completion, pf_window, sent=True)
-        self.l2.fill(
-            line_addr,
-            arrive=completion,
-            prefetched=True,
-            pf_window=pf_window,
-            on_evict=self._on_evict_l2,
-        )
-        self.stats.l2.prefetch_fills += 1
+        # L2 fill (line absent: the probe above missed).
+        if len(l2_lines) >= self._l2_ways:
+            victim_tag = next(iter(l2_lines))
+            victim = l2_lines.pop(victim_tag)
+            if victim.dirty or victim.prefetched:
+                self._evict_from_l2(victim_tag * l2_nsets + l2_set, victim)
+            line = victim
+            line.tag = l2_tag
+            line.dirty = False
+            line.arrive = completion
+        else:
+            line = CacheLine(l2_tag, completion)
+        line.prefetched = True
+        line.pf_window = pf_window
+        l2_lines[l2_tag] = line
+        stats.l2.prefetch_fills += 1
         return True
 
-    def _prefetch_llc(
-        self, line_addr: int, cycle: int, pf_window: int, kind: RequestKind
-    ) -> bool:
+    def _prefetch_llc(self, line_addr: int, cycle: int, pf_window: int) -> bool:
         """Ablation fill destination: prefetch into the shared LLC only.
 
         Demand still misses the L2 but hits the (warmed) LLC — the paper's
         Section III alternative, rejected there because the extra 42-cycle
-        hop squanders most of the latency hiding."""
+        hop squanders most of the latency hiding.  The tracer sees the
+        same issue, late-issue and drop events as :meth:`prefetch_l2`."""
         stats = self.stats
+        tracer = self.tracer
         if self.l2.probe(line_addr) is not None:
             stats.prefetch.dropped += 1
+            if tracer is not None:
+                tracer.on_prefetch_dropped(line_addr, cycle, pf_window)
             return False
         resident = self.llc.probe(line_addr)
         if resident is not None:
             if resident.arrive > cycle and not resident.prefetched:
                 stats.prefetch.issued += 1
                 stats.prefetch.late += 1
+                if tracer is not None:
+                    tracer.on_prefetch_issued(
+                        line_addr, cycle, resident.arrive, pf_window, sent=False
+                    )
             else:
                 stats.prefetch.dropped += 1
+                if tracer is not None:
+                    tracer.on_prefetch_dropped(line_addr, cycle, pf_window)
             return False
         stats.prefetch.issued += 1
         at_llc = cycle + self._llc_latency
         mem_issue = self.llc.mshr.acquire(at_llc)
-        completion = self.controller.read(line_addr * LINE_SIZE, mem_issue, kind)
+        completion = self.controller.read(line_addr * LINE_SIZE, mem_issue, _KIND_PREFETCH)
         stats.traffic.prefetch_lines += 1
         self.llc.mshr.register(completion)
+        if tracer is not None:
+            tracer.on_prefetch_issued(line_addr, cycle, completion, pf_window, sent=True)
         self.llc.fill(
             line_addr,
             arrive=completion,
             prefetched=True,
             pf_window=pf_window,
-            on_evict=self._on_evict_llc,
+            on_evict=self._evict_from_llc,
         )
         return True
 

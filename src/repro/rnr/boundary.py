@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.config import LINE_SIZE
+from repro.rnr.tables import CorruptMetadataError
 
 
 @dataclass
@@ -90,24 +91,46 @@ class BoundaryTable:
                 return slot, (address - entry.base) // LINE_SIZE
         return None
 
-    def line_addr(self, slot: int, line_offset: int) -> Optional[int]:
+    def resolve(self, slot: int, line_offset: int) -> Optional[int]:
         """Translate a recorded (slot, offset) back to a cache-line address
-        using the *currently configured* bases.
+        using the *currently configured* bases -- the one resolver replay
+        uses (:meth:`~repro.rnr.tables.SequenceTable.checked_line_addr`).
 
-        If the recorded slot is disabled (the programmer swapped bases
-        between iterations), the offset is applied to the enabled register
-        instead — the paper's base-swap convention.
+        ``slot`` and ``line_offset`` are the unsigned fields of a decoded
+        sequence entry.  If the recorded slot is disabled (the programmer
+        swapped bases between iterations), the offset is applied to the
+        enabled register instead -- the paper's base-swap convention;
+        with zero or several enabled registers there is no unambiguous
+        target and the result is None.  A slot beyond the register file
+        or an offset beyond the target structure is something no recorder
+        can write, so it raises :class:`CorruptMetadataError`.
         """
-        entry = self._entries[slot]
+        entries = self._entries
+        if slot >= len(entries) or slot >= self.max_entries:
+            raise CorruptMetadataError(
+                f"boundary slot {slot} named, but only {len(entries)} of "
+                f"{self.max_entries} registers are set"
+            )
+        entry = entries[slot]
         if not entry.enabled:
-            enabled = [e for e in self._entries if e.enabled]
-            if len(enabled) != 1:
+            # Base swap: exactly one enabled register is the target.  A
+            # loop rather than a filtered list -- in the replay iterations
+            # after a swap every replayed line takes this branch.
+            entry = None
+            for candidate in entries:
+                if candidate.enabled:
+                    if entry is not None:
+                        return None
+                    entry = candidate
+            if entry is None:
                 return None
-            entry = enabled[0]
-        address = entry.base + line_offset * LINE_SIZE
-        if address >= entry.base + entry.size:
-            return None
-        return address // LINE_SIZE
+        offset = line_offset * LINE_SIZE
+        if offset >= entry.size:
+            raise CorruptMetadataError(
+                f"offset {line_offset} is beyond the {entry.size}-byte "
+                f"structure at {entry.base:#x}"
+            )
+        return (entry.base + offset) // LINE_SIZE
 
     # -- introspection ------------------------------------------------------
     @property

@@ -31,11 +31,9 @@ class PrefetchProbe:
         self._orig = hierarchy.prefetch_l2
         hierarchy.prefetch_l2 = self._wrapped  # type: ignore[method-assign]
 
-    def _wrapped(self, line_addr, cycle, pf_window=-1, kind=None):
+    def _wrapped(self, line_addr, cycle, pf_window=-1):
         self.issued.append((line_addr, cycle))
-        if kind is None:
-            return self._orig(line_addr, cycle, pf_window=pf_window)
-        return self._orig(line_addr, cycle, pf_window=pf_window, kind=kind)
+        return self._orig(line_addr, cycle, pf_window=pf_window)
 
     @property
     def lines(self) -> List[int]:

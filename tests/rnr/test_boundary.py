@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.config import LINE_SIZE
 from repro.rnr.boundary import BoundaryTable
+from repro.rnr.tables import CorruptMetadataError
 
 
 class TestSetEnableDisable:
@@ -63,11 +64,14 @@ class TestSetEnableDisable:
 
 
 class TestReplayTranslation:
+    """``BoundaryTable.resolve``: the resolver replay uses, through
+    ``SequenceTable.checked_line_addr``."""
+
     def test_line_addr_same_slot(self):
         table = BoundaryTable()
         table.set(0x1000, 0x1000)
         table.enable(0x1000)
-        assert table.line_addr(0, 3) == (0x1000 + 3 * LINE_SIZE) // LINE_SIZE
+        assert table.resolve(0, 3) == (0x1000 + 3 * LINE_SIZE) // LINE_SIZE
 
     def test_base_swap_redirects_to_enabled_register(self):
         """Algorithm 1 lines 31-33: p_curr/p_next swap.  Offsets recorded
@@ -80,14 +84,17 @@ class TestReplayTranslation:
         # Swap: disable old, enable new.
         table.disable(0x1000)
         table.enable(0x9000)
-        replayed = table.line_addr(slot, offset)
+        replayed = table.resolve(slot, offset)
         assert replayed == (0x9000 + 5 * LINE_SIZE) // LINE_SIZE
 
-    def test_offset_beyond_region_returns_none(self):
+    def test_offset_beyond_region_is_corrupt(self):
+        """No recorder writes an offset past its structure: corrupt
+        metadata, which replay turns into a skipped window."""
         table = BoundaryTable()
         table.set(0x1000, 2 * LINE_SIZE)
         table.enable(0x1000)
-        assert table.line_addr(0, 5) is None
+        with pytest.raises(CorruptMetadataError):
+            table.resolve(0, 5)
 
     def test_ambiguous_swap_returns_none(self):
         """With zero or two enabled candidates the redirect is ambiguous."""
@@ -95,7 +102,14 @@ class TestReplayTranslation:
         table.set(0x1000, 0x1000)
         table.set(0x9000, 0x1000)
         # Recorded against slot 0, now disabled; nothing enabled.
-        assert table.line_addr(0, 1) is None
+        assert table.resolve(0, 1) is None
+        # Recorded against slot 0, now disabled; two others enabled.
+        table = BoundaryTable(max_entries=3)
+        for base in (0x1000, 0x9000, 0x20000):
+            table.set(base, 0x1000)
+        table.enable(0x9000)
+        table.enable(0x20000)
+        assert table.resolve(0, 1) is None
 
 
 class TestSnapshot:
@@ -132,11 +146,11 @@ class TestProperties:
         st.integers(min_value=1, max_value=1 << 10),
     )
     def test_record_replay_round_trip(self, base, num_lines):
-        """check() then line_addr() recovers the original line."""
+        """check() then resolve() recovers the original line."""
         base *= LINE_SIZE
         table = BoundaryTable()
         table.set(base, num_lines * LINE_SIZE)
         table.enable(base)
         address = base + (num_lines - 1) * LINE_SIZE
         slot, offset = table.check(address)
-        assert table.line_addr(slot, offset) == address // LINE_SIZE
+        assert table.resolve(slot, offset) == address // LINE_SIZE

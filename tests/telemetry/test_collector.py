@@ -127,6 +127,30 @@ class TestBaselinePrefetcherRun:
         check_cell_dir(cell_dir)
 
 
+class TestPrefetchFillLevels:
+    """The lifecycle tracer sees every prefetch, whichever level it fills
+    (the LLC destination is the Section III ablation)."""
+
+    @pytest.mark.parametrize("level", ["l2", "llc"])
+    @pytest.mark.parametrize("prefetcher", ["nextline", "rnr"])
+    def test_tracer_totals_match_stats(self, prefetcher, level):
+        collector = TelemetryCollector(TelemetryConfig(sample_interval=2_000))
+        stats = SimulationEngine(
+            SystemConfig.tiny(),
+            make_prefetcher(prefetcher),
+            prefetch_fill_level=level,
+            collector=collector,
+        ).run(build_gather_trace(rnr=prefetcher == "rnr"))
+        windows = collector.tracer.windows.values()
+        assert stats.prefetch.issued > 0
+        if prefetcher == "nextline":
+            assert stats.prefetch.dropped > 0
+        assert sum(w.issued for w in windows) == stats.prefetch.issued
+        assert sum(w.late for w in windows) == stats.prefetch.late
+        assert sum(w.dropped for w in windows) == stats.prefetch.dropped
+        assert sum(w.used for w in windows) == stats.prefetch.useful
+
+
 class TestNullPath:
     def test_null_collector_runs_identically(self):
         trace = build_gather_trace(iterations=2, accesses=150)
