@@ -149,8 +149,8 @@ def fig06_rows(scale):
 def measure_trace_acquisition(scale=None, repeats=3):
     """Trace build vs warm-store mmap load over the Fig-6 rows.
 
-    Builds every row's RnR trace once in-process (timed), populates a
-    throwaway :class:`TraceStore` with the results, then times ``repeats``
+    Builds every row's RnR trace once in-process and publishes it to a
+    throwaway :class:`TraceStore` (timed together), then times ``repeats``
     warm passes loading the whole matrix back from the store (mmap +
     CRC verification + directive decode — the full cost a sweep worker
     pays).  Returns entries/sec for both paths plus their ratio.
@@ -180,9 +180,8 @@ def measure_trace_acquisition(scale=None, repeats=3):
             )
             store.put(key, trace)
             keys.append(key)
-        # put() happens inside the timed region in a real cold sweep too,
-        # but exclude it here so "build" is purely the Python rebuild cost
-        # the store saves on every warm run.
+        # The timed build includes put(), as a cold sweep's does, so the
+        # ratio below is a cold build-and-publish against a warm load.
         build_elapsed = time.perf_counter() - build_began
 
         best_load = float("inf")

@@ -202,7 +202,10 @@ class TraceStore:
             return
         for sub in sorted(self.root.iterdir()):
             if sub.is_dir():
-                yield from sorted(sub.glob("*.rnrt"))
+                # Published names never start with a dot; staging files
+                # (``binfmt.write_trace``'s ``.tmp-*.rnrt``) left by a
+                # killed writer do, and pathlib's ``*`` matches them.
+                yield from sorted(sub.glob("[!.]*.rnrt"))
 
     def clear(self) -> int:
         """Delete every stored trace; returns how many were removed."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.workloads.base import StreamCursor, Workload
+from repro.workloads.base import Gather, StreamCursor, Workload, emit_interleaved
 
 PC_EDGES = 0x700
 PC_GATHER = 0x704
@@ -105,33 +105,42 @@ class BeliefPropagationWorkload(Workload):
 
     # ------------------------------------------------------------------
     def _run_iteration(self, iteration: int) -> None:
-        builder = self.builder
-        msg_curr = self.region(self._curr_name)
-        msg_next = self.region(self._next_name)
-        edges_cursor = StreamCursor(builder, self.region("edges"), PC_EDGES)
-        reverse_cursor = StreamCursor(builder, self.region("reverse"), PC_REVERSE)
-        store_cursor = StreamCursor(
-            builder, msg_next, PC_MSG_STORE, work_per_elem=3, is_store=True
-        )
         # Message update: msg_next[e] = f(prior[src] + sum(in msgs) -
         # msg_curr[rev(e)]).  The gather msg_curr[rev(e)] is irregular
         # because the reverse-edge index permutes the edge space.
-        for edge in range(self.graph.num_edges):
-            edges_cursor.touch(edge)
-            reverse_cursor.touch(edge)
-            builder.work(3)
-            builder.load(msg_curr.addr(int(self._reverse[edge])), PC_GATHER)
-            store_cursor.touch(edge)
+        msg_curr = self.region(self._curr_name)
+        msg_next = self.region(self._next_name)
+        edges = np.arange(self.graph.num_edges)
+        emit_interleaved(
+            self.builder,
+            [
+                (StreamCursor(self.region("edges"), PC_EDGES), edges),
+                (StreamCursor(self.region("reverse"), PC_REVERSE), edges),
+                (Gather(msg_curr, PC_GATHER, work=3), self._reverse),
+                (
+                    StreamCursor(msg_next, PC_MSG_STORE, work_per_elem=3, is_store=True),
+                    edges,
+                ),
+            ],
+        )
 
         # Belief update: stream vertices, fold in incident messages.
-        prior_cursor = StreamCursor(builder, self.region("prior"), PC_BELIEF_LOAD)
-        belief_cursor = StreamCursor(
-            builder, self.region("belief"), PC_BELIEF_STORE, work_per_elem=2,
-            is_store=True,
+        vertices = np.arange(self.graph.num_vertices)
+        emit_interleaved(
+            self.builder,
+            [
+                (StreamCursor(self.region("prior"), PC_BELIEF_LOAD), vertices),
+                (
+                    StreamCursor(
+                        self.region("belief"),
+                        PC_BELIEF_STORE,
+                        work_per_elem=2,
+                        is_store=True,
+                    ),
+                    vertices,
+                ),
+            ],
         )
-        for vertex in range(self.graph.num_vertices):
-            prior_cursor.touch(vertex)
-            belief_cursor.touch(vertex)
 
         self._advance_numerics()
 

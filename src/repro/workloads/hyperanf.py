@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.config import LINE_SIZE
 from repro.graphs.csr import CSRGraph
-from repro.workloads.base import StreamCursor, Workload
+from repro.workloads.base import Gather, StreamCursor, Workload, emit_interleaved
 from repro.workloads.hll import HllArray
 
 PC_EDGES = 0x500
@@ -69,33 +69,39 @@ class HyperAnfWorkload(Workload):
 
     # ------------------------------------------------------------------
     def _run_iteration(self, iteration: int) -> None:
-        builder = self.builder
         hll_curr = self.region(self._curr_name)
         hll_next = self.region(self._next_name)
-        edges_cursor = StreamCursor(builder, self.region("edges"), PC_EDGES)
-        union_load = StreamCursor(builder, hll_next, PC_UNION_LOAD, work_per_elem=2)
-        union_store = StreamCursor(
-            builder, hll_next, PC_UNION_STORE, work_per_elem=2, is_store=True
-        )
 
         # Copy phase: sketches only grow, so hll_next starts as a copy of
         # hll_curr before this iteration's unions land in it.
-        copy_load = StreamCursor(builder, hll_curr, PC_COPY_LOAD)
-        copy_store = StreamCursor(builder, hll_next, PC_COPY_STORE, is_store=True)
-        for vertex in range(self.graph.num_vertices):
-            copy_load.touch(vertex)
-            copy_store.touch(vertex)
+        vertices = np.arange(self.graph.num_vertices)
+        emit_interleaved(
+            self.builder,
+            [
+                (StreamCursor(hll_curr, PC_COPY_LOAD), vertices),
+                (StreamCursor(hll_next, PC_COPY_STORE, is_store=True), vertices),
+            ],
+        )
 
         # Scatter/union phase over the edge stream (src-major order, so
         # hll_next[u] accesses are nearly sequential; hll_curr[v] is the
-        # irregular gather).
-        for edge_index, (src, dst) in enumerate(self.edge_pairs):
-            edges_cursor.touch(edge_index)
-            builder.work(2)
-            builder.load(hll_curr.addr(int(dst)), PC_GATHER)
-            union_load.touch(int(src))
-            builder.work(8)  # 16-register max-merge
-            union_store.touch(int(src))
+        # irregular gather).  The union store's work includes the
+        # 16-register max-merge (8 instructions) before it.
+        src = self.edge_pairs[:, 0]
+        emit_interleaved(
+            self.builder,
+            [
+                (StreamCursor(self.region("edges"), PC_EDGES), np.arange(len(src))),
+                (Gather(hll_curr, PC_GATHER, work=2), self.edge_pairs[:, 1]),
+                (StreamCursor(hll_next, PC_UNION_LOAD, work_per_elem=2), src),
+                (
+                    StreamCursor(
+                        hll_next, PC_UNION_STORE, work_per_elem=2 + 8, is_store=True
+                    ),
+                    src,
+                ),
+            ],
+        )
 
         self._advance_numerics()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graphs.csr import CSRGraph
-from repro.workloads.base import StreamCursor, Workload
+from repro.workloads.base import Gather, StreamCursor, Workload, emit_rows
 
 PC_OFFSETS = 0x800
 PC_TARGETS = 0x804
@@ -64,24 +64,27 @@ class LabelPropagationWorkload(Workload):
 
     # ------------------------------------------------------------------
     def _run_iteration(self, iteration: int) -> None:
-        builder = self.builder
-        labels_curr = self.region(self._curr_name)
-        labels_next = self.region(self._next_name)
-        offsets_cursor = StreamCursor(builder, self.region("offsets"), PC_OFFSETS)
-        targets_cursor = StreamCursor(builder, self.region("targets"), PC_TARGETS)
-        store_cursor = StreamCursor(
-            builder, labels_next, PC_LABEL_STORE, work_per_elem=3, is_store=True
+        # The label store's work includes the argmax over the
+        # neighbour-label histogram (4 instructions) before it.
+        emit_rows(
+            self.builder,
+            np.arange(self.graph.num_vertices),
+            self.graph.offsets,
+            StreamCursor(self.region("offsets"), PC_OFFSETS),
+            [
+                (StreamCursor(self.region("targets"), PC_TARGETS), None),
+                (
+                    Gather(self.region(self._curr_name), PC_GATHER, work=2),
+                    self.graph.targets,
+                ),
+            ],
+            StreamCursor(
+                self.region(self._next_name),
+                PC_LABEL_STORE,
+                work_per_elem=4 + 3,
+                is_store=True,
+            ),
         )
-        offsets = self.graph.offsets
-        targets = self.graph.targets
-        for vertex in range(self.graph.num_vertices):
-            offsets_cursor.touch(vertex)
-            for edge in range(offsets[vertex], offsets[vertex + 1]):
-                targets_cursor.touch(int(edge))
-                builder.work(2)
-                builder.load(labels_curr.addr(int(targets[edge])), PC_GATHER)
-            builder.work(4)  # argmax over the neighbour-label histogram
-            store_cursor.touch(vertex)
 
         self._advance_numerics()
 

@@ -20,7 +20,13 @@ import numpy as np
 
 from repro.config import LINE_SIZE
 from repro.graphs.csr import CSRGraph
-from repro.workloads.base import StreamCursor, Workload
+from repro.workloads.base import (
+    Gather,
+    StreamCursor,
+    Workload,
+    emit_interleaved,
+    emit_rows,
+)
 
 PC_OFFSETS = 0x400
 PC_TARGETS = 0x404
@@ -80,41 +86,42 @@ class PageRankWorkload(Workload):
 
     # ------------------------------------------------------------------
     def _run_iteration(self, iteration: int) -> None:
-        builder = self.builder
-        in_graph = self.in_graph
-        num_vertices = in_graph.num_vertices
+        vertices = np.arange(self.in_graph.num_vertices)
         p_curr = self.region(self._curr_name)
         p_next = self.region(self._next_name)
-        offsets_cursor = StreamCursor(builder, self.region("offsets"), PC_OFFSETS)
-        targets_cursor = StreamCursor(builder, self.region("targets"), PC_TARGETS)
-        pnext_cursor = StreamCursor(
-            builder, p_next, PC_PNEXT, work_per_elem=2, is_store=True
-        )
-        in_offsets = in_graph.offsets
-        in_targets = in_graph.targets
-
-        # Edge phase: pull contributions.
-        for dest in range(num_vertices):
-            offsets_cursor.touch(dest)
-            start, end = in_offsets[dest], in_offsets[dest + 1]
-            for edge in range(start, end):
-                targets_cursor.touch(edge)
-                builder.work(2)
-                builder.load(p_curr.addr(int(in_targets[edge])), PC_GATHER)
-            pnext_cursor.touch(dest)
+        self._pull(vertices)
 
         # Normalise phase (PRNormalize): stream over both vectors.
-        deg_cursor = StreamCursor(builder, self.region("out_deg"), PC_DEG)
-        next_load = StreamCursor(builder, p_next, PC_NORM_LOAD, work_per_elem=2)
-        curr_store = StreamCursor(
-            builder, p_curr, PC_NORM_STORE, work_per_elem=2, is_store=True
+        emit_interleaved(
+            self.builder,
+            [
+                (StreamCursor(p_next, PC_NORM_LOAD, work_per_elem=2), vertices),
+                (StreamCursor(self.region("out_deg"), PC_DEG), vertices),
+                (
+                    StreamCursor(p_curr, PC_NORM_STORE, work_per_elem=2, is_store=True),
+                    vertices,
+                ),
+            ],
         )
-        for vertex in range(num_vertices):
-            next_load.touch(vertex)
-            deg_cursor.touch(vertex)
-            curr_store.touch(vertex)
 
         self._advance_numerics()
+
+    def _pull(self, vertices: np.ndarray) -> None:
+        """Edge phase: each destination vertex pulls its in-neighbours'
+        contributions."""
+        p_curr = self.region(self._curr_name)
+        p_next = self.region(self._next_name)
+        emit_rows(
+            self.builder,
+            vertices,
+            self.in_graph.offsets,
+            StreamCursor(self.region("offsets"), PC_OFFSETS),
+            [
+                (StreamCursor(self.region("targets"), PC_TARGETS), None),
+                (Gather(p_curr, PC_GATHER, work=2), self.in_graph.targets),
+            ],
+            StreamCursor(p_next, PC_PNEXT, work_per_elem=2, is_store=True),
+        )
 
     def _advance_numerics(self) -> None:
         """The actual PageRank step the trace above executes."""

@@ -17,7 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csr_matrix import CSRMatrix
-from repro.workloads.base import StreamCursor, Workload
+from repro.workloads.base import (
+    Gather,
+    StreamCursor,
+    Workload,
+    emit_rows,
+    emit_stream,
+)
 
 PC_INDPTR = 0x600
 PC_INDICES = 0x604
@@ -75,25 +81,20 @@ class SpCGWorkload(Workload):
         builder = self.builder
         matrix = self.matrix
         n = matrix.num_rows
-        p_region = self.region("p")
-        indptr_cursor = StreamCursor(builder, self.region("indptr"), PC_INDPTR)
-        indices_cursor = StreamCursor(builder, self.region("indices"), PC_INDICES)
-        values_cursor = StreamCursor(builder, self.region("values"), PC_VALUES)
-        ap_cursor = StreamCursor(
-            builder, self.region("ap"), PC_AP_STORE, work_per_elem=2, is_store=True
-        )
 
         # SpMV: Ap = A @ p
-        indptr = matrix.indptr
-        indices = matrix.indices
-        for row in range(n):
-            indptr_cursor.touch(row)
-            for element in range(indptr[row], indptr[row + 1]):
-                indices_cursor.touch(element)
-                values_cursor.touch(element)
-                builder.work(2)
-                builder.load(p_region.addr(int(indices[element])), PC_GATHER)
-            ap_cursor.touch(row)
+        emit_rows(
+            builder,
+            np.arange(n),
+            matrix.indptr,
+            StreamCursor(self.region("indptr"), PC_INDPTR),
+            [
+                (StreamCursor(self.region("indices"), PC_INDICES), None),
+                (StreamCursor(self.region("values"), PC_VALUES), None),
+                (Gather(self.region("p"), PC_GATHER, work=2), matrix.indices),
+            ],
+            StreamCursor(self.region("ap"), PC_AP_STORE, work_per_elem=2, is_store=True),
+        )
 
         # Vector phase: alpha = rs / (p . Ap); x += alpha p; r -= alpha Ap;
         # beta = rs' / rs; p = r + beta p.  Six dense streams over n.
@@ -105,7 +106,7 @@ class SpCGWorkload(Workload):
             ("r", False),
             ("p", True),
         ):
-            self._stream(self.region(name), 0, n, PC_VEC, 2, is_store)
+            emit_stream(builder, self.region(name), n, PC_VEC, 2, is_store)
 
         self._advance_numerics()
 

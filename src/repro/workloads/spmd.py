@@ -20,7 +20,8 @@ import numpy as np
 from repro.graphs.csr import CSRGraph
 from repro.graphs.partition import partition_bfs, partition_vertex_ranges
 from repro.trace.trace import Trace
-from repro.workloads.pagerank import PageRankWorkload
+from repro.workloads.base import StreamCursor, emit_interleaved
+from repro.workloads.pagerank import PC_NORM_LOAD, PC_NORM_STORE, PageRankWorkload
 
 
 class _PartitionedPageRank(PageRankWorkload):
@@ -37,44 +38,20 @@ class _PartitionedPageRank(PageRankWorkload):
         self._vertices = np.asarray(vertices, dtype=np.int64)
 
     def _run_iteration(self, iteration: int) -> None:
-        from repro.workloads.base import StreamCursor
-        from repro.workloads.pagerank import (
-            PC_GATHER,
-            PC_NORM_LOAD,
-            PC_NORM_STORE,
-            PC_OFFSETS,
-            PC_PNEXT,
-            PC_TARGETS,
-        )
-
-        builder = self.builder
-        in_graph = self.in_graph
+        vertices = self._vertices
         p_curr = self.region(self._curr_name)
         p_next = self.region(self._next_name)
-        offsets_cursor = StreamCursor(builder, self.region("offsets"), PC_OFFSETS)
-        targets_cursor = StreamCursor(builder, self.region("targets"), PC_TARGETS)
-        pnext_cursor = StreamCursor(
-            builder, p_next, PC_PNEXT, work_per_elem=2, is_store=True
+        self._pull(vertices)
+        emit_interleaved(
+            self.builder,
+            [
+                (StreamCursor(p_next, PC_NORM_LOAD, work_per_elem=2), vertices),
+                (
+                    StreamCursor(p_curr, PC_NORM_STORE, work_per_elem=2, is_store=True),
+                    vertices,
+                ),
+            ],
         )
-        in_offsets = in_graph.offsets
-        in_targets = in_graph.targets
-
-        for dest in self._vertices:
-            offsets_cursor.touch(int(dest))
-            start, end = in_offsets[dest], in_offsets[dest + 1]
-            for edge in range(start, end):
-                targets_cursor.touch(int(edge))
-                builder.work(2)
-                builder.load(p_curr.addr(int(in_targets[edge])), PC_GATHER)
-            pnext_cursor.touch(int(dest))
-
-        next_load = StreamCursor(builder, p_next, PC_NORM_LOAD, work_per_elem=2)
-        curr_store = StreamCursor(
-            builder, p_curr, PC_NORM_STORE, work_per_elem=2, is_store=True
-        )
-        for vertex in self._vertices:
-            next_load.touch(int(vertex))
-            curr_store.touch(int(vertex))
 
         # The numerics are advanced once per *global* iteration by worker 0;
         # each worker's trace only covers its own partition's accesses.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sparse.csr_matrix import CSRMatrix
-from repro.workloads.base import StreamCursor, Workload
+from repro.workloads.base import Gather, StreamCursor, Workload, emit_rows
 
 PC_INDPTR = 0x900
 PC_INDICES = 0x904
@@ -58,25 +58,19 @@ class SpMVWorkload(Workload):
 
     # ------------------------------------------------------------------
     def _run_iteration(self, iteration: int) -> None:
-        builder = self.builder
         matrix = self.matrix
-        x_region = self.region("x")
-        indptr_cursor = StreamCursor(builder, self.region("indptr"), PC_INDPTR)
-        indices_cursor = StreamCursor(builder, self.region("indices"), PC_INDICES)
-        values_cursor = StreamCursor(builder, self.region("values"), PC_VALUES)
-        y_cursor = StreamCursor(
-            builder, self.region("y"), PC_Y_STORE, work_per_elem=2, is_store=True
+        emit_rows(
+            self.builder,
+            np.arange(matrix.num_rows),
+            matrix.indptr,
+            StreamCursor(self.region("indptr"), PC_INDPTR),
+            [
+                (StreamCursor(self.region("indices"), PC_INDICES), None),
+                (StreamCursor(self.region("values"), PC_VALUES), None),
+                (Gather(self.region("x"), PC_GATHER, work=2), matrix.indices),
+            ],
+            StreamCursor(self.region("y"), PC_Y_STORE, work_per_elem=2, is_store=True),
         )
-        indptr = matrix.indptr
-        indices = matrix.indices
-        for row in range(matrix.num_rows):
-            indptr_cursor.touch(row)
-            for element in range(indptr[row], indptr[row + 1]):
-                indices_cursor.touch(int(element))
-                values_cursor.touch(int(element))
-                builder.work(2)
-                builder.load(x_region.addr(int(indices[element])), PC_GATHER)
-            y_cursor.touch(row)
         self.y = matrix.spmv(self._x)
 
     # ------------------------------------------------------------------

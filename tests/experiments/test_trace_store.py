@@ -130,6 +130,15 @@ class TestStoreCounters:
         assert store.clear() == 1
         assert list(store.entries()) == []
 
+    def test_killed_writer_staging_file_is_not_an_entry(self, tmp_path):
+        # A worker killed inside binfmt.write_trace leaves its mkstemp
+        # staging file (``.tmp-*.rnrt``) beside the published entries.
+        store = TraceStore(tmp_path)
+        published = store.put(trace_key(**BASE_KEY), self._trace())
+        (published.parent / ".tmp-k1ll3d.rnrt").write_bytes(b"RNRT torn")
+        assert list(store.entries()) == [published]
+        assert "1 traces" in store.describe()
+
 
 class TestRunnerIntegration:
     def test_cold_then_warm_identical_stats(self, tmp_path):
