@@ -15,6 +15,7 @@ from repro import SimulationEngine, SystemConfig, make_prefetcher
 from repro.experiments.tables import format_table
 from repro.graphs import datasets
 from repro.sim import metrics
+from repro.sim.harness import wire_prefetcher
 from repro.workloads import PageRankWorkload
 
 PREFETCHERS = ("nextline", "bingo", "stems", "misb", "droplet", "rnr", "rnr-combined")
@@ -37,8 +38,7 @@ def main():
     rows = []
     for name in PREFETCHERS:
         prefetcher = make_prefetcher(name)
-        if name == "droplet":
-            prefetcher.resolver = workload.edge_line_values
+        wire_prefetcher(prefetcher, workload)
         trace = rnr_trace if "rnr" in name else plain_trace
         stats = SimulationEngine(config, prefetcher).run(trace)
         rows.append(

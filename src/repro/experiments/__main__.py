@@ -38,7 +38,6 @@ import sys
 import time
 
 from repro.experiments import (
-    diskcache,
     faults as faults_mod,
     fig01_scatter,
     fig06_speedup,
@@ -54,10 +53,11 @@ from repro.experiments import (
     record_overhead,
     supervise,
 )
+from repro.experiments.diskcache import DiskCellCache
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.backend import ENGINE_BACKENDS, ENGINE_ENV, resolve_engine_backend
 from repro.telemetry import config as telemetry_config
-from repro.trace import store as trace_store_mod
+from repro.trace.store import TraceStore, ensure_writable
 
 FIGURES = {
     "fig01": fig01_scatter,
@@ -72,6 +72,18 @@ FIGURES = {
     "fig14": fig14_window_sweep,
     "record": record_overhead,
 }
+
+
+def _store_root(parser, flag: str, value, store_cls):
+    """The writable root named by ``flag`` (else by the store's environment
+    variable), or None; a bad root is a usage error naming its source."""
+    root = value or store_cls.default_root()
+    if not root:
+        return None
+    try:
+        return ensure_writable(root)
+    except ValueError as exc:
+        parser.error(f"{flag if value else '$' + store_cls.ENV}: {exc}")
 
 
 def main(argv=None) -> int:
@@ -195,18 +207,8 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown figures: {', '.join(unknown)}")
 
-    cache_dir = args.cache_dir or diskcache.default_cache_dir()
-    if cache_dir:
-        try:
-            cache_dir = diskcache.ensure_writable(cache_dir)
-        except ValueError as exc:
-            parser.error(str(exc))
-    trace_store_dir = args.trace_store or trace_store_mod.default_store_dir()
-    if trace_store_dir:
-        try:
-            trace_store_dir = diskcache.ensure_writable(trace_store_dir)
-        except ValueError as exc:
-            parser.error(str(exc))
+    cache_dir = _store_root(parser, "--cache-dir", args.cache_dir, DiskCellCache)
+    trace_store_dir = _store_root(parser, "--trace-store", args.trace_store, TraceStore)
 
     try:
         faults = faults_mod.faults_from_env()

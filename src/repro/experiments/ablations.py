@@ -23,6 +23,7 @@ from repro.prefetchers.droplet import DropletPrefetcher
 from repro.prefetchers.misb import MISBPrefetcher
 from repro.sim import metrics
 from repro.sim.engine import SimulationEngine
+from repro.sim.harness import wire_prefetcher
 
 MISB_CACHE_LINES = (16, 64, 256, 1024)
 DROPLET_LATENCIES = (0, 24, 96, 384)
@@ -54,9 +55,8 @@ def droplet_latency_sweep(
     workload = runner.workload(app, input_name)
     out = {}
     for latency in DROPLET_LATENCIES:
-        prefetcher = DropletPrefetcher(
-            resolver=workload.edge_line_values, generation_latency=latency
-        )
+        prefetcher = DropletPrefetcher(generation_latency=latency)
+        wire_prefetcher(prefetcher, workload)
         stats = SimulationEngine(runner.config, prefetcher).run(trace)
         out[latency] = (
             metrics.coverage(base.stats, stats),

@@ -22,17 +22,15 @@ from repro.config import SystemConfig
 from repro.experiments import diskcache
 from repro.graphs import datasets as graph_datasets
 from repro.prefetchers import make_prefetcher
-from repro.prefetchers.droplet import DropletPrefetcher
-from repro.prefetchers.imp import IMPPrefetcher
-from repro.prefetchers.composite import CompositePrefetcher
 from repro.rnr.replayer import ControlMode
 from repro.sim.engine import SimulationEngine
+from repro.sim.harness import wire_prefetcher
 from repro.sim.ideal import run_ideal
 from repro.sparse import datasets as matrix_datasets
 from repro.stats import SimStats
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.config import TelemetryConfig
-from repro.trace import store as trace_store_mod
+from repro.trace.store import TraceStore, trace_key
 from repro.trace.trace import Trace
 from repro.workloads import HyperAnfWorkload, PageRankWorkload, SpCGWorkload
 from repro.workloads.base import Workload
@@ -141,13 +139,11 @@ class ExperimentRunner:
         # Telemetry config (None or disabled keeps the null collector).
         self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
         if cache_dir is None:
-            cache_dir = diskcache.default_cache_dir()
+            cache_dir = diskcache.DiskCellCache.default_root()
         self.cache = diskcache.DiskCellCache(cache_dir) if cache_dir else None
         if trace_store is None:
-            trace_store = trace_store_mod.default_store_dir()
-        self.trace_store = (
-            trace_store_mod.TraceStore(trace_store) if trace_store else None
-        )
+            trace_store = TraceStore.default_root()
+        self.trace_store = TraceStore(trace_store) if trace_store else None
         self._workloads: Dict[Tuple, Workload] = {}
         self._traces: Dict[Tuple, Trace] = {}
         self._results: Dict[Tuple, CellResult] = {}
@@ -188,7 +184,7 @@ class ExperimentRunner:
         if key not in self._traces:
             build = lambda: self.workload(app, input_name, window).build_trace(rnr=rnr)
             if self.trace_store is not None:
-                store_key = trace_store_mod.trace_key(
+                store_key = trace_key(
                     app=app,
                     input_name=input_name,
                     scale=self.scale,
@@ -210,24 +206,7 @@ class ExperimentRunner:
         if name in ("rnr", "rnr-combined") and mode is not None:
             kwargs["mode"] = mode
         prefetcher = make_prefetcher(name, **kwargs)
-        workload = self.workload(app, input_name, window)
-        children = (
-            prefetcher.children
-            if isinstance(prefetcher, CompositePrefetcher)
-            else [prefetcher]
-        )
-        if any(
-            isinstance(child, (DropletPrefetcher, IMPPrefetcher))
-            for child in children
-        ):
-            # A store-served trace skips build_trace(), but these data
-            # callbacks still need the recorded address-space layout.
-            workload.ensure_layout()
-        for child in children:
-            if isinstance(child, DropletPrefetcher):
-                child.resolver = getattr(workload, "edge_line_values", None)
-            if isinstance(child, IMPPrefetcher):
-                child.value_reader = workload.read_int
+        wire_prefetcher(prefetcher, self.workload(app, input_name, window))
         return prefetcher
 
     def _result_key(

@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.experiments import faults as faults_mod
+from repro.experiments.diskcache import DiskCellCache
 from repro.experiments.runner import (
     APPS,
     CellSpec,
@@ -62,6 +63,7 @@ from repro.experiments.runner import (
     prefetchers_for,
 )
 from repro.telemetry.sweep import SweepTelemetry
+from repro.trace.store import TraceStore, content_key
 
 #: Environment variable providing the default worker count.
 JOBS_ENV = "RNR_JOBS"
@@ -273,24 +275,12 @@ class SweepReport:
                 "\nmanifest was corrupt: previous progress discarded, "
                 "affected cells restarted"
             )
-        if self.trace_store is not None:
-            counters = self.trace_store
-            header += (
-                f"\ntrace store: {counters.get('hits', 0)} hits, "
-                f"{counters.get('misses', 0)} misses, "
-                f"{counters.get('builds', 0)} built, "
-                f"{counters.get('corrupt', 0)} corrupt, "
-                f"{counters.get('races', 0)} races"
-            )
-        if self.cell_cache is not None:
-            counters = self.cell_cache
-            header += (
-                f"\ncell cache: {counters.get('hits', 0)} hits, "
-                f"{counters.get('misses', 0)} misses, "
-                f"{counters.get('stores', 0)} stores, "
-                f"{counters.get('corrupt', 0)} corrupt, "
-                f"{counters.get('races', 0)} races"
-            )
+        for store_cls, counters in (
+            (TraceStore, self.trace_store),
+            (DiskCellCache, self.cell_cache),
+        ):
+            if counters is not None:
+                header += f"\n{store_cls.LABEL}: {store_cls.SUMMARY.format(**counters)}"
         if self.cell_seconds:
             slowest = sorted(
                 self.cell_seconds.items(), key=lambda item: (-item[1], item[0])
@@ -501,20 +491,17 @@ def pending_specs(
 def runner_fingerprint(runner: ExperimentRunner) -> str:
     """Identity of everything that can change a cell's statistics."""
     import dataclasses as dc
-    import hashlib
 
     import repro
 
-    payload = {
+    return content_key({
         "config": dc.asdict(runner.config),
         "scale": runner.scale,
         "seed": runner.seed,
         "iterations": runner.iterations,
         "window": runner.window_size,
         "version": repro.__version__,
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    })[:16]
 
 
 def default_manifest_path(runner: ExperimentRunner) -> Optional[Path]:

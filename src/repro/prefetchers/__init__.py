@@ -14,8 +14,6 @@ from repro.prefetchers.ghb import GHBPrefetcher
 from repro.prefetchers.isb import ISBPrefetcher
 from repro.prefetchers.misb import MISBPrefetcher
 from repro.prefetchers.bingo import BingoPrefetcher
-from repro.prefetchers.bop import BestOffsetPrefetcher
-from repro.prefetchers.domino import DominoPrefetcher
 from repro.prefetchers.stems import SteMSPrefetcher
 from repro.prefetchers.droplet import DropletPrefetcher
 from repro.prefetchers.imp import IMPPrefetcher
@@ -23,9 +21,7 @@ from repro.prefetchers.composite import CompositePrefetcher
 from repro.prefetchers.registry import PREFETCHERS, make_prefetcher
 
 __all__ = [
-    "BestOffsetPrefetcher",
     "BingoPrefetcher",
-    "DominoPrefetcher",
     "CompositePrefetcher",
     "DropletPrefetcher",
     "GHBPrefetcher",

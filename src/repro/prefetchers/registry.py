@@ -6,8 +6,6 @@ from typing import Callable, Dict
 
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
 from repro.prefetchers.bingo import BingoPrefetcher
-from repro.prefetchers.bop import BestOffsetPrefetcher
-from repro.prefetchers.domino import DominoPrefetcher
 from repro.prefetchers.composite import CompositePrefetcher
 from repro.prefetchers.droplet import DropletPrefetcher
 from repro.prefetchers.ghb import GHBPrefetcher
@@ -40,8 +38,6 @@ PREFETCHERS: Dict[str, Callable[..., Prefetcher]] = {
     "nextline": NextLinePrefetcher,
     "stream": StreamPrefetcher,
     "ghb": GHBPrefetcher,
-    "domino": DominoPrefetcher,
-    "bop": BestOffsetPrefetcher,
     "isb": ISBPrefetcher,
     "misb": MISBPrefetcher,
     "bingo": BingoPrefetcher,

@@ -62,13 +62,21 @@ class ComparisonResult:
         return metrics.additional_traffic_ratio(self.baseline, self.stats)
 
 
-def _wire_callbacks(prefetcher, workload: Workload) -> None:
+def wire_prefetcher(prefetcher, workload: Workload) -> None:
+    """Connect DROPLET's resolver and IMP's value reader (also inside a
+    composite) to ``workload``'s data callbacks.
+
+    The callbacks read the workload's address-space layout, which a trace
+    served from the trace store never built, so the layout is made first.
+    """
     children = (
         prefetcher.children
         if isinstance(prefetcher, CompositePrefetcher)
         else [prefetcher]
     )
     for child in children:
+        if isinstance(child, (DropletPrefetcher, IMPPrefetcher)):
+            workload.ensure_layout()
         if isinstance(child, DropletPrefetcher):
             child.resolver = getattr(workload, "edge_line_values", None)
         if isinstance(child, IMPPrefetcher):
@@ -100,7 +108,7 @@ def compare_prefetchers(
         if uses_rnr and annotated_trace is None:
             annotated_trace = workload.build_trace(rnr=True)
         prefetcher = make_prefetcher(name)
-        _wire_callbacks(prefetcher, workload)
+        wire_prefetcher(prefetcher, workload)
         trace = annotated_trace if uses_rnr else plain_trace
         stats = SimulationEngine(config, prefetcher).run(trace)
         results[name] = ComparisonResult(name, stats, baseline)

@@ -27,8 +27,11 @@ rebuilds.  The CRC is verified over the mapped view on every load, so a
 truncated or bit-flipped file raises :class:`TraceFormatError`
 deterministically instead of corrupting a simulation.
 
-Writes are atomic (temp file + ``os.replace``), so a killed sweep never
-leaves a half-written trace for the next run to trip over.
+:func:`dump_trace` writes the format to an open file, which the trace
+store stages and publishes itself (:mod:`repro.trace.store`).
+:func:`write_trace` writes a standalone file atomically (temp file +
+``os.replace``), so a killed ``repro-trace convert`` never leaves a
+half-written trace behind.
 """
 
 from __future__ import annotations
@@ -148,22 +151,24 @@ class MappedTrace(Trace):
             pass
 
 
-def _column_bytes(column) -> bytes:
-    """Raw little-endian bytes of one column (array or memoryview)."""
+def _column_bytes(column):
+    """One column (array or memoryview) as a little-endian buffer: the
+    column itself on a little-endian host, so writing a trace copies none
+    of it, else a byteswapped copy."""
     if sys.byteorder == "little" or getattr(column, "itemsize", 1) == 1:
-        return column.tobytes()
+        return column
     swapped = column[:]  # big-endian host: copy, then swap to LE on disk
     swapped.byteswap()
-    return swapped.tobytes()
+    return swapped
 
 
-def write_trace(trace: Trace, path: Union[str, Path]) -> Path:
-    """Write ``trace`` to ``path`` in the packed binary format, atomically.
+def dump_trace(trace: Trace, fh) -> None:
+    """Write ``trace`` in the packed binary format to the open binary file
+    ``fh``.
 
     Directive args must be JSON-serializable (the same constraint as the
     JSON-lines debug format).
     """
-    path = Path(path)
     kinds, addrs, pcs, gaps = trace.packed_columns()
     dirs_blob = json.dumps(
         [[op, list(args)] for op, args in trace.directive_table()],
@@ -183,14 +188,20 @@ def write_trace(trace: Trace, path: Union[str, Path]) -> Path:
         MAGIC, FORMAT_VERSION, _FLAG_LITTLE_ENDIAN, len(trace), len(dirs_blob),
         crc & 0xFFFFFFFF,
     )
+    fh.write(header)
+    fh.write(b"\x00" * (_PAYLOAD_OFFSET - _HEADER.size))
+    for part in parts:
+        fh.write(part)
+
+
+def write_trace(trace: Trace, path: Union[str, Path]) -> Path:
+    """Write ``trace`` to ``path`` in the packed binary format, atomically."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=".tmp-", suffix=".rnrt")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(b"\x00" * (_PAYLOAD_OFFSET - _HEADER.size))
-            for part in parts:
-                fh.write(part)
+            dump_trace(trace, fh)
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -1,36 +1,39 @@
-"""Content-addressed on-disk store of workload traces.
+"""Content-addressed on-disk stores: recorded traces and finished cells.
 
-The sweep's methodology is trace-driven: every (app x input x prefetcher)
-cell replays the same recorded reference stream, yet without this store
-each worker process rebuilds each workload trace in pure Python — and
-supervised retries, ``--resume`` passes, telemetry re-simulations, and
-every fresh sweep pay the full rebuild again.  The store writes each
-trace **once** in the packed binary format of :mod:`repro.trace.binfmt`
-and lets every later consumer map it zero-copy, so N parallel workers
-share one physical copy in the page cache.
+The sweep keeps two kinds of entry on disk, each under its own root: the
+recorded workload traces (:class:`TraceStore`; ``--trace-store`` or
+``RNR_TRACE_STORE``) and the finished figure cells
+(:class:`~repro.experiments.diskcache.DiskCellCache`; ``--cache-dir`` or
+``RNR_CACHE_DIR``).  Both are a :class:`ContentStore` with a codec of
+their own, and both keep one policy:
 
-Entries are keyed by a content hash of everything that can change the
-recorded stream:
+* An entry is named by the SHA-256 of the canonical JSON of everything
+  that can change its content (:func:`content_key`) and lives two
+  directory levels deep (``ab/abcdef....<suffix>``).  The same key means
+  the same content, so a stale entry is never served.
+* A missing file is a plain miss.
+* An entry that fails its checks (truncated, bit-flipped, from an old
+  format, unreadable) is counted in ``corrupt``, deleted and missed, so
+  the caller rebuilds it.
+* Publication is first-winner.  A writer stages the complete entry in one
+  dot-named file beside its final name, then hard-links it there
+  (``os.link``).  The first link wins; the losers count a ``race`` and
+  drop their copies, and a reader never sees a torn entry.  Only a
+  filesystem without hard links falls back to an atomic ``os.replace``,
+  where the last rename wins.
+* :meth:`ContentStore.entries` (behind ``describe``) skips dot-names, so
+  a staging file left by a killed writer is never listed as an entry.
+* Counters are per instance.  The sweep supervisor folds in each worker's
+  delta (:meth:`ContentStore.counters_since`,
+  :meth:`ContentStore.merge_counters`); they are for reporting only.
 
-* the workload class (application) and input name,
-* workload scale, seed, and iteration count,
-* the RnR window size and whether RnR directives were recorded,
-* the trace-generator version (the package version, so workload changes
-  invalidate stale traces) and the binary format version.
+To empty a store, remove its directory.
 
-Publication is first-winner: concurrent workers that race on a cold key
-each build and stage a complete file, then hard-link it to the final name
-(``os.link``), so the first link wins, the losers count a race and drop
-their copies, and every published file is complete.  Only on a
-filesystem without hard links does ``put`` fall back to an atomic
-``os.replace``, where the last rename wins.  A corrupt entry —
-truncated, bit-flipped, with an unparsable directive table, or from an
-old format — is detected by the framing checks, counted, deleted, and
-rebuilt, mirroring the disk cell cache's degradation discipline.
-
-Enable the store with ``trace_store=`` on ``ExperimentRunner``, the
-``--trace-store`` CLI flag, or the ``RNR_TRACE_STORE`` environment
-variable.
+A trace is keyed by its application, input, scale, seed, iteration
+count, RnR window and flag, the package version and the binary format
+version.  It is written once in :mod:`repro.trace.binfmt`'s packed format
+and mapped zero-copy by every later run and worker, so N parallel workers
+share one page-cache copy instead of N rebuilds.
 """
 
 from __future__ import annotations
@@ -38,24 +41,156 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Iterator, Optional, Union
 
 import repro
 from repro.trace import binfmt
 from repro.trace.trace import Trace
 
-#: Environment variable naming the default trace-store directory.
-TRACE_STORE_ENV = "RNR_TRACE_STORE"
 
-#: Counter names reported by :meth:`TraceStore.counters`.
-COUNTER_NAMES = ("hits", "misses", "builds", "stores", "corrupt", "races")
+def content_key(payload: dict) -> str:
+    """SHA-256 of ``payload``'s canonical JSON: the name of its entry."""
+    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
-def default_store_dir() -> Optional[Path]:
-    """The store directory named by ``RNR_TRACE_STORE``, or None."""
-    value = os.environ.get(TRACE_STORE_ENV, "").strip()
-    return Path(value) if value else None
+def ensure_writable(root: Union[str, Path]) -> Path:
+    """Create ``root`` and prove it writable; returns the directory.
+
+    Raises ``ValueError`` with a one-line message otherwise, so a bad store
+    root fails at CLI startup instead of halfway through a sweep.
+    """
+    root = Path(root).expanduser()
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        fd, probe = tempfile.mkstemp(dir=str(root), prefix=".probe-")
+        os.close(fd)
+        os.unlink(probe)
+    except OSError as exc:
+        detail = exc.strerror or str(exc)
+        raise ValueError(f"{root} is not creatable/writable: {detail}") from None
+    return root
+
+
+class ContentStore:
+    """Entries under ``root`` named by their content key (see the module
+    docstring for the policy).  A subclass supplies its codec through its
+    own ``get`` and ``put``, built on :meth:`_load` and :meth:`_publish`."""
+
+    #: Environment variable naming the default root.
+    ENV = ""
+    #: File-name suffix of a published entry.
+    SUFFIX = ""
+    #: How :meth:`describe` names the store and its entries.
+    LABEL = ""
+    NOUN = ""
+    #: Counter attributes, as reported by :meth:`counters`.
+    COUNTERS = ("hits", "misses", "stores", "corrupt", "races")
+    #: Session counters as the CLI and the sweep report print them.
+    SUMMARY = "{hits} hits, {misses} misses, {stores} stores, {corrupt} corrupt, {races} races"
+
+    def __init__(self, root: Union[str, Path]):
+        self.root = Path(root)
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
+
+    @classmethod
+    def default_root(cls) -> Optional[Path]:
+        """The root named by the store's environment variable, or None."""
+        value = os.environ.get(cls.ENV, "").strip()
+        return Path(value) if value else None
+
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}{self.SUFFIX}"
+
+    # ------------------------------------------------------------------
+    def _load(self, key: str, decode: Callable[[Path], object]):
+        """``decode(path)`` of the entry for ``key``, or None on a miss."""
+        path = self._path(key)
+        try:
+            value = decode(path)
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except Exception:
+            # Any failure, an unpickling one included, makes the entry
+            # unusable; the caller rebuilds it.
+            self.corrupt += 1
+            self.misses += 1
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
+        self.hits += 1
+        return value
+
+    def _publish(self, key: str, write: Callable) -> Path:
+        """Stage ``write(fh)``'s bytes in one dot-named file and link it to
+        the entry's name, first writer wins; returns the entry's path."""
+        final = self._path(key)
+        final.parent.mkdir(parents=True, exist_ok=True)
+        fd, staged = tempfile.mkstemp(
+            dir=str(final.parent), prefix=".tmp-", suffix=".staged"
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                write(fh)
+            try:
+                os.link(staged, final)
+            except FileExistsError:
+                self.races += 1
+                return final
+            except OSError:
+                # No hard links on this filesystem: last rename wins.
+                os.replace(staged, final)
+                staged = None
+            self.stores += 1
+            return final
+        finally:
+            if staged is not None:
+                try:
+                    os.unlink(staged)
+                except OSError:
+                    pass
+
+    # ------------------------------------------------------------------
+    def counters(self) -> Dict[str, int]:
+        """Current counter values."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
+
+    def merge_counters(self, delta: Dict[str, int]) -> None:
+        """Fold another process's counter delta into this store's totals."""
+        for name in self.COUNTERS:
+            setattr(self, name, getattr(self, name) + int(delta.get(name, 0)))
+
+    def counters_since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
+        """Counter delta accumulated since ``snapshot`` (from :meth:`counters`)."""
+        return {
+            name: getattr(self, name) - int(snapshot.get(name, 0))
+            for name in self.COUNTERS
+        }
+
+    # ------------------------------------------------------------------
+    def entries(self) -> Iterator[Path]:
+        """Yield the path of every published entry."""
+        if not self.root.is_dir():
+            return
+        for sub in sorted(self.root.iterdir()):
+            if sub.is_dir():
+                yield from sorted(sub.glob(f"[!.]*{self.SUFFIX}"))
+
+    def describe(self) -> str:
+        """One-line summary for logs and the CLI."""
+        paths = list(self.entries())
+        total = sum(p.stat().st_size for p in paths)
+        return (
+            f"{self.LABEL} at {self.root}: {len(paths)} {self.NOUN}, "
+            f"{total / 1024:.0f} KiB "
+            f"(session: {self.SUMMARY.format(**self.counters())})"
+        )
 
 
 def trace_key(
@@ -75,7 +210,7 @@ def trace_key(
     count, RnR window or flag, generator version, or the binary format
     itself — produces a different key, so stale traces are never mapped.
     """
-    payload = {
+    return content_key({
         "format": binfmt.FORMAT_VERSION,
         "version": version if version is not None else repro.__version__,
         "app": app,
@@ -85,82 +220,26 @@ def trace_key(
         "iterations": iterations,
         "window": window,
         "rnr": bool(rnr),
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    })
 
 
-class TraceStore:
-    """Content-addressed trace files, two directory levels deep
-    (``ab/abcdef....rnrt``) like the disk cell cache."""
+class TraceStore(ContentStore):
+    """Recorded traces in :mod:`repro.trace.binfmt`'s packed format."""
 
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.builds = 0
-        self.stores = 0
-        self.corrupt = 0
-        self.races = 0
+    ENV = "RNR_TRACE_STORE"
+    SUFFIX = ".rnrt"
+    LABEL = "trace store"
+    NOUN = "traces"
+    COUNTERS = ("hits", "misses", "builds", "stores", "corrupt", "races")
+    SUMMARY = "{hits} hits, {misses} misses, {builds} built, {corrupt} corrupt, {races} races"
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.rnrt"
-
-    # ------------------------------------------------------------------
-    def get(self, key: str, map: bool = True) -> Optional[Trace]:
-        """The stored trace for ``key`` (mmap-backed), or None.
-
-        A missing entry is a plain miss.  An entry failing the framing
-        verification counts as a miss, is counted in ``corrupt``, and is
-        deleted so the rebuild can republish it.
-        """
-        path = self._path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
-        try:
-            trace = binfmt.read_trace(path, map=map)
-        except (binfmt.TraceFormatError, OSError):
-            self.corrupt += 1
-            self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.hits += 1
-        return trace
+    def get(self, key: str) -> Optional[Trace]:
+        """The stored trace for ``key``, mapped zero-copy, or None."""
+        return self._load(key, binfmt.read_trace)
 
     def put(self, key: str, trace: Trace) -> Path:
-        """Publish ``trace`` under ``key`` (atomic; **first** writer wins).
-
-        The trace is written completely to a staging file first, then
-        hard-linked to its final name: two workers racing on the same
-        cold key leave exactly one valid CRC-framed entry (the loser
-        counts a ``race`` and drops its copy), and a concurrent reader
-        can never map a torn file.  Same key means same content, so
-        which copy survives is immaterial.
-        """
-        final = self._path(key)
-        # ``.staged`` keeps the staging file out of the ``*.rnrt`` globs
-        # of :meth:`entries`.
-        staged = final.with_name(f".pub-{os.getpid()}-{final.name}.staged")
-        binfmt.write_trace(trace, staged)
-        try:
-            os.link(staged, final)
-            self.stores += 1
-        except FileExistsError:
-            self.races += 1
-        except OSError:
-            # Filesystem without hard links: atomic last-winner rename.
-            os.replace(staged, final)
-            self.stores += 1
-            return final
-        try:
-            os.unlink(staged)
-        except OSError:
-            pass
-        return final
+        """Publish ``trace`` under ``key``; returns the entry's path."""
+        return self._publish(key, lambda fh: binfmt.dump_trace(trace, fh))
 
     def get_or_build(self, key: str, build: Callable[[], Trace]) -> Trace:
         """The stored trace, or ``build()``'s result published to the store.
@@ -175,57 +254,3 @@ class TraceStore:
         self.builds += 1
         self.put(key, trace)
         return trace
-
-    # ------------------------------------------------------------------
-    def counters(self) -> Dict[str, int]:
-        """Current counter values (hits/misses/builds/stores/corrupt/races)."""
-        return {name: getattr(self, name) for name in COUNTER_NAMES}
-
-    def merge_counters(self, delta: Dict[str, int]) -> None:
-        """Fold another process's counter delta into this store's totals
-        (the sweep supervisor aggregates worker-side counters here)."""
-        for name in COUNTER_NAMES:
-            setattr(self, name, getattr(self, name) + int(delta.get(name, 0)))
-
-    def counters_since(self, snapshot: Dict[str, int]) -> Dict[str, int]:
-        """Counter delta accumulated since ``snapshot`` (from
-        :meth:`counters`)."""
-        return {
-            name: getattr(self, name) - int(snapshot.get(name, 0))
-            for name in COUNTER_NAMES
-        }
-
-    # ------------------------------------------------------------------
-    def entries(self):
-        """Yield the Path of every stored trace."""
-        if not self.root.is_dir():
-            return
-        for sub in sorted(self.root.iterdir()):
-            if sub.is_dir():
-                # Published names never start with a dot; staging files
-                # (``binfmt.write_trace``'s ``.tmp-*.rnrt``) left by a
-                # killed writer do, and pathlib's ``*`` matches them.
-                yield from sorted(sub.glob("[!.]*.rnrt"))
-
-    def clear(self) -> int:
-        """Delete every stored trace; returns how many were removed."""
-        removed = 0
-        for path in list(self.entries()):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def describe(self) -> str:
-        """One-line summary for logs / the CLI."""
-        paths = list(self.entries())
-        total = sum(p.stat().st_size for p in paths)
-        return (
-            f"trace store at {self.root}: {len(paths)} traces, "
-            f"{total / 1024:.0f} KiB "
-            f"(session: {self.hits} hits, {self.misses} misses, "
-            f"{self.builds} built, {self.corrupt} corrupt, "
-            f"{self.races} races)"
-        )

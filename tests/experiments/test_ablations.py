@@ -31,6 +31,21 @@ class TestDropletSweep:
         text = ablations.report(runner)
         assert "MISB" in text and "DROPLET" in text
 
+    def test_runs_from_a_warm_trace_store(self, runner, tmp_path):
+        """DROPLET's resolver reads the workload layout, which a store-served
+        trace never builds."""
+
+        def stored():
+            return ExperimentRunner(
+                scale="test", iterations=2, window_size=8, trace_store=tmp_path
+            )
+
+        stored().trace("pagerank", "urand", rnr=False)
+        warm = stored()
+        data = ablations.droplet_latency_sweep(warm)
+        assert warm.trace_store.builds == 0 and warm.trace_store.hits > 0
+        assert data == ablations.droplet_latency_sweep(runner)
+
 
 class TestFillLevelSweep:
     def test_both_levels_run(self, runner):

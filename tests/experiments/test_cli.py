@@ -24,13 +24,17 @@ class TestCli:
     def test_figure_registry_complete(self):
         assert {"fig01", "fig06", "fig14", "record"} <= set(FIGURES)
 
-    def test_unwritable_cache_dir_rejected_at_startup(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--cache-dir", "--trace-store"])
+    def test_unwritable_cache_dir_rejected_at_startup(self, flag, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         with pytest.raises(SystemExit):
-            main(["hw", "--cache-dir", str(blocker / "cells")])
-        err = capsys.readouterr().err
-        assert "not creatable/writable" in err
+            main(["hw", flag, str(blocker / "sub")])
+        # The usage text above the error names every flag; the error line
+        # itself must name the one that failed.
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "not creatable/writable" in error
+        assert flag in error
 
     def test_bad_fault_spec_rejected(self, capsys):
         with pytest.raises(SystemExit):

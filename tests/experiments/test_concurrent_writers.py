@@ -21,14 +21,6 @@ from repro.trace.trace import Trace
 WRITERS = 6
 
 
-def _race_cache_put(root, key, barrier, results):
-    cache = diskcache.DiskCellCache(root)
-    payload = {"writer": os.getpid(), "answer": 42}
-    barrier.wait()
-    cache.put(key, payload)
-    results.put((os.getpid(), cache.counters()))
-
-
 def _small_trace(seed):
     trace = Trace()
     trace.append_directive("iter.begin", (0,))
@@ -37,47 +29,57 @@ def _small_trace(seed):
     return trace
 
 
-def _race_store_put(root, key, barrier, results):
-    store = TraceStore(root)
-    trace = _small_trace(seed=0)
+def _race_put(race, root, key, barrier, results):
+    store = race.store_cls(root)
+    entry = race.entry()
     barrier.wait()
-    store.put(key, trace)
+    store.put(key, entry)
     results.put((os.getpid(), store.counters()))
 
 
-def _run_racers(target, root, key):
-    barrier = multiprocessing.Barrier(WRITERS)
-    results = multiprocessing.Queue()
-    procs = [
-        multiprocessing.Process(target=target, args=(root, key, barrier, results))
-        for _ in range(WRITERS)
-    ]
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join(timeout=60)
-        assert proc.exitcode == 0
-    return [results.get(timeout=10) for _ in range(WRITERS)]
+class FirstWinnerRace:
+    """WRITERS processes put one key at once; a subclass sets the store
+    class, its ``entry()`` and the check that an entry is whole."""
 
-
-class TestCellCacheRace:
     def test_exactly_one_winner_no_torn_entry(self, tmp_path):
         key = "a" * 16
-        counters = _run_racers(_race_cache_put, tmp_path, key)
-        stores = sum(c["stores"] for _, c in counters)
-        races = sum(c["races"] for _, c in counters)
-        assert stores == 1
-        assert races == WRITERS - 1
-        # The surviving entry is whole and belongs to one of the racers.
-        reader = diskcache.DiskCellCache(tmp_path)
-        value = reader.get(key)
-        assert value is not None and value["answer"] == 42
-        assert value["writer"] in {pid for pid, _ in counters}
+        barrier = multiprocessing.Barrier(WRITERS)
+        results = multiprocessing.Queue()
+        procs = [
+            multiprocessing.Process(
+                target=_race_put, args=(self, tmp_path, key, barrier, results)
+            )
+            for _ in range(WRITERS)
+        ]
+        for proc in procs:
+            proc.start()
+        # Drain the queue before joining its writers.
+        counters = [results.get(timeout=60) for _ in range(WRITERS)]
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        assert sum(c["stores"] for _, c in counters) == 1
+        assert sum(c["races"] for _, c in counters) == WRITERS - 1
+        reader = self.store_cls(tmp_path)
+        self.assert_whole(reader.get(key), {pid for pid, _ in counters})
         assert reader.corrupt == 0
         # No staging litter left behind.
-        staged = [p for p in tmp_path.rglob("*") if ".staged" in p.name]
+        staged = [p for p in tmp_path.rglob("*") if p.name.startswith(".")]
         assert staged == []
         assert "races" in reader.describe()
+
+
+class TestCellCacheRace(FirstWinnerRace):
+    store_cls = diskcache.DiskCellCache
+
+    @staticmethod
+    def entry():
+        return {"writer": os.getpid(), "answer": 42}
+
+    @staticmethod
+    def assert_whole(value, racers):
+        assert value is not None and value["answer"] == 42
+        assert value["writer"] in racers
 
 
 def _race_cache_reader(root, keys, barrier, stop, results):
@@ -140,18 +142,14 @@ class TestReadersRacingWriter:
         assert follower.corrupt == 0
 
 
-class TestTraceStoreRace:
-    def test_exactly_one_winner_trace_readable(self, tmp_path):
-        key = "b" * 16
-        counters = _run_racers(_race_store_put, tmp_path, key)
-        stores = sum(c["stores"] for _, c in counters)
-        races = sum(c["races"] for _, c in counters)
-        assert stores == 1
-        assert races == WRITERS - 1
-        reader = TraceStore(tmp_path)
-        trace = reader.get(key)
+class TestTraceStoreRace(FirstWinnerRace):
+    store_cls = TraceStore
+
+    @staticmethod
+    def entry():
+        return _small_trace(seed=0)
+
+    @staticmethod
+    def assert_whole(trace, racers):
         assert trace is not None
-        assert len(trace) == len(_small_trace(seed=0))
-        assert reader.corrupt == 0
-        staged = [p for p in tmp_path.rglob("*") if ".staged" in p.name]
-        assert staged == []
+        assert list(trace) == list(_small_trace(seed=0))

@@ -11,6 +11,7 @@ from repro.experiments import diskcache
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import run_supervised_sweep
 from repro.rnr.replayer import ControlMode
+from tests.helpers import StorePolicy
 
 SPECS = [
     CellSpec("pagerank", "urand", "baseline"),
@@ -72,7 +73,12 @@ class TestCellKey:
         assert _key(version=repro.__version__) == _key()
 
 
-class TestDiskCellCache:
+class TestDiskCellCache(StorePolicy):
+    store_cls = diskcache.DiskCellCache
+
+    def entry(self):
+        return {"payload": 42}
+
     def test_roundtrip(self, tmp_path):
         cache = diskcache.DiskCellCache(tmp_path)
         key = _key()
@@ -85,16 +91,6 @@ class TestDiskCellCache:
         diskcache.DiskCellCache(tmp_path).put(_key(), "persisted")
         assert diskcache.DiskCellCache(tmp_path).get(_key()) == "persisted"
 
-    def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path):
-        cache = diskcache.DiskCellCache(tmp_path)
-        key = _key()
-        cache.put(key, "good")
-        path = cache._path(key)
-        path.write_bytes(b"\x80not a pickle")
-        assert cache.get(key) is None
-        assert cache.corrupt == 1
-        assert not path.exists()
-
     def test_truncated_entry_is_a_miss(self, tmp_path):
         cache = diskcache.DiskCellCache(tmp_path)
         key = _key()
@@ -103,19 +99,10 @@ class TestDiskCellCache:
         path.write_bytes(path.read_bytes()[:10])
         assert cache.get(key) is None
 
-    def test_put_leaves_no_temp_files(self, tmp_path):
+    def test_entries(self, tmp_path):
         cache = diskcache.DiskCellCache(tmp_path)
-        cache.put(_key(), "x")
-        leftovers = [p for p in tmp_path.rglob("*") if p.name.startswith(".tmp-")]
-        assert leftovers == []
-
-    def test_entries_and_clear(self, tmp_path):
-        cache = diskcache.DiskCellCache(tmp_path)
-        for window in (4, 8, 16):
-            cache.put(_key(window=window), window)
-        assert len(list(cache.entries())) == 3
-        assert cache.clear() == 3
-        assert list(cache.entries()) == []
+        published = [cache.put(_key(window=window), window) for window in (4, 8, 16)]
+        assert sorted(cache.entries()) == sorted(published)
 
     def test_describe_mentions_counts(self, tmp_path):
         cache = diskcache.DiskCellCache(tmp_path)
@@ -152,12 +139,12 @@ class TestRunnerIntegration:
         assert other.cache.stores == 1
 
     def test_cache_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(diskcache.CACHE_DIR_ENV, raising=False)
+        monkeypatch.delenv(diskcache.DiskCellCache.ENV, raising=False)
         runner = ExperimentRunner(scale="test")
         assert runner.cache is None
 
     def test_env_var_enables_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "cells"))
+        monkeypatch.setenv(diskcache.DiskCellCache.ENV, str(tmp_path / "cells"))
         runner = ExperimentRunner(scale="test")
         assert runner.cache is not None
         assert runner.cache.root == tmp_path / "cells"

@@ -14,7 +14,7 @@ from repro.trace.binfmt import MappedTrace
 from repro.trace.record import KIND_LOAD
 from repro.trace.store import TraceStore, trace_key
 from repro.trace.trace import Trace
-from tests.helpers import clobber_directive_table
+from tests.helpers import StorePolicy, clobber_directive_table
 
 SPECS = [
     CellSpec("pagerank", "urand", "baseline"),
@@ -62,8 +62,10 @@ class TestTraceKey:
         assert trace_key(**changed) != trace_key(**BASE_KEY)
 
 
-class TestStoreCounters:
-    def _trace(self):
+class TestStoreCounters(StorePolicy):
+    store_cls = TraceStore
+
+    def entry(self):
         trace = Trace()
         trace.append_ref(KIND_LOAD, 0x1000, 0x400, 2)
         trace.append_directive("iter.begin", (0,))
@@ -73,13 +75,13 @@ class TestStoreCounters:
         store = TraceStore(tmp_path)
         key = trace_key(**BASE_KEY)
         built = []
-        trace = store.get_or_build(key, lambda: built.append(1) or self._trace())
+        trace = store.get_or_build(key, lambda: built.append(1) or self.entry())
         assert built == [1]
-        assert list(trace) == list(self._trace())
+        assert list(trace) == list(self.entry())
         again = store.get_or_build(key, lambda: built.append(2))
         assert built == [1]  # warm: build not called
         assert isinstance(again, MappedTrace)
-        assert list(again) == list(self._trace())
+        assert list(again) == list(self.entry())
         again.close()
         assert store.counters() == {
             "hits": 1, "misses": 1, "builds": 1, "stores": 1, "corrupt": 0,
@@ -89,11 +91,11 @@ class TestStoreCounters:
     def test_corrupt_entry_rebuilds_and_counts(self, tmp_path):
         store = TraceStore(tmp_path)
         key = trace_key(**BASE_KEY)
-        store.put(key, self._trace())
+        store.put(key, self.entry())
         path = store._path(key)
         path.write_bytes(path.read_bytes()[:-3])  # truncate
-        rebuilt = store.get_or_build(key, self._trace)
-        assert list(rebuilt) == list(self._trace())
+        rebuilt = store.get_or_build(key, self.entry)
+        assert list(rebuilt) == list(self.entry())
         assert store.corrupt == 1
         assert store.builds == 1
         # The republished entry is valid again.
@@ -104,40 +106,20 @@ class TestStoreCounters:
     def test_unparsable_directive_table_rebuilds(self, tmp_path):
         store = TraceStore(tmp_path)
         key = trace_key(**BASE_KEY)
-        store.put(key, self._trace())
+        store.put(key, self.entry())
         clobber_directive_table(store._path(key))
-        rebuilt = store.get_or_build(key, self._trace)
-        assert list(rebuilt) == list(self._trace())
+        rebuilt = store.get_or_build(key, self.entry)
+        assert list(rebuilt) == list(self.entry())
         assert store.corrupt == 1
         assert store.builds == 1
 
-    def test_merge_and_since(self, tmp_path):
-        store = TraceStore(tmp_path)
-        snapshot = store.counters()
-        store.get(trace_key(**BASE_KEY))  # miss
-        assert store.counters_since(snapshot)["misses"] == 1
-        other = TraceStore(tmp_path)
-        other.merge_counters(store.counters_since(snapshot))
-        assert other.misses == 1
-
     def test_describe_and_entries(self, tmp_path):
         store = TraceStore(tmp_path)
-        store.put(trace_key(**BASE_KEY), self._trace())
+        store.put(trace_key(**BASE_KEY), self.entry())
         assert len(list(store.entries())) == 1
         text = store.describe()
         assert "1 traces" in text
         assert "0 hits" in text
-        assert store.clear() == 1
-        assert list(store.entries()) == []
-
-    def test_killed_writer_staging_file_is_not_an_entry(self, tmp_path):
-        # A worker killed inside binfmt.write_trace leaves its mkstemp
-        # staging file (``.tmp-*.rnrt``) beside the published entries.
-        store = TraceStore(tmp_path)
-        published = store.put(trace_key(**BASE_KEY), self._trace())
-        (published.parent / ".tmp-k1ll3d.rnrt").write_bytes(b"RNRT torn")
-        assert list(store.entries()) == [published]
-        assert "1 traces" in store.describe()
 
 
 class TestRunnerIntegration:

@@ -49,3 +49,52 @@ def clobber_directive_table(path: Path) -> None:
     crc = zlib.crc32(bytes(raw[binfmt._PAYLOAD_OFFSET:])) & 0xFFFFFFFF
     binfmt._HEADER.pack_into(raw, 0, magic, version, flags, entries, dir_len, crc)
     path.write_bytes(bytes(raw))
+
+
+class StorePolicy:
+    """The :class:`~repro.trace.store.ContentStore` policy, written once.
+
+    Each store's test class inherits these tests and sets ``store_cls`` and
+    ``entry()`` (a small value of its kind), so every store kind runs the
+    same checks under its own test ids.
+    """
+
+    store_cls = None
+    KEY = "ab" + "0" * 62
+
+    def entry(self):
+        raise NotImplementedError
+
+    def test_corrupt_entry_is_a_miss_and_deleted(self, tmp_path):
+        store = self.store_cls(tmp_path)
+        path = store.put(self.KEY, self.entry())
+        path.write_bytes(b"\x80not an entry")
+        assert store.get(self.KEY) is None
+        assert store.corrupt == 1 and store.misses == 1
+        assert not path.exists()
+
+    def test_put_leaves_no_temp_files(self, tmp_path):
+        store = self.store_cls(tmp_path)
+        published = store.put(self.KEY, self.entry())
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [published]
+
+    def test_killed_writer_staging_file_is_not_an_entry(self, tmp_path):
+        # A writer killed before its link leaves its dot-named staging file
+        # beside the published entries.
+        store = self.store_cls(tmp_path)
+        published = store.put(self.KEY, self.entry())
+        for name in (".tmp-k1ll3d.staged", f".tmp-k1ll3d{store.SUFFIX}"):
+            (published.parent / name).write_bytes(b"torn")
+        assert list(store.entries()) == [published]
+        assert f"1 {store.NOUN}" in store.describe()
+
+    def test_merge_and_since(self, tmp_path):
+        store = self.store_cls(tmp_path)
+        snapshot = store.counters()
+        store.get(self.KEY)  # miss
+        store.put(self.KEY, self.entry())
+        delta = store.counters_since(snapshot)
+        assert delta["misses"] == 1 and delta["stores"] == 1
+        other = self.store_cls(tmp_path)
+        other.merge_counters(delta)
+        assert other.counters() == store.counters()

@@ -63,6 +63,14 @@ class TestRoundTrip:
         assert not isinstance(loaded, MappedTrace)
         assert list(loaded) == list(trace)
 
+    def test_mapped_trace_rewrites_identically(self, tmp_path):
+        # The writer serializes the columns in place, memoryviews included.
+        path = write_trace(sample_trace(), tmp_path / "t.rnrt")
+        mapped = read_trace(path)
+        again = write_trace(mapped, tmp_path / "again.rnrt")
+        mapped.close()
+        assert again.read_bytes() == path.read_bytes()
+
     def test_empty_trace(self, tmp_path):
         path = write_trace(Trace(), tmp_path / "empty.rnrt")
         loaded = read_trace(path)
