@@ -1,6 +1,6 @@
 """Engine hot-loop and trace-acquisition throughput.
 
-The other simulator benches time whole figure cells; this one isolates two
+Whole figure cells are timed by ``perfbench/``; this bench isolates two
 hot paths and reports comparable single numbers:
 
 * ``SimulationEngine.run`` + ``Trace`` iteration — trace entries consumed
@@ -19,7 +19,7 @@ root::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
-or through pytest-benchmark with the rest of the harness::
+or through pytest-benchmark::
 
     pytest benchmarks/bench_engine_throughput.py
 
@@ -53,7 +53,7 @@ STORE_SPEEDUP_FLOOR = 5.0
 
 
 def build_trace(accesses=50_000, rnr=False, window=16, footprint=32_768, seed=7):
-    """A two-iteration pointer-chase-style trace (same shape as bench_simulator)."""
+    """A two-iteration random gather over ``footprint`` elements (RnR-annotated if ``rnr``)."""
     rng = random.Random(seed)
     space = AddressSpace()
     array = space.alloc("x", footprint, 8)
@@ -243,9 +243,10 @@ def test_engine_entries_per_second(benchmark):
     trace = build_trace(rnr=False)
     config = SystemConfig.experiment()
     entries = len(trace)
-    benchmark.pedantic(
+    stats = benchmark.pedantic(
         lambda: SimulationEngine(config).run(trace), rounds=3, iterations=1
     )
+    assert stats.instructions == trace.instructions
     rate = entries / benchmark.stats.stats.min
     benchmark.extra_info["entries_per_second"] = round(rate, 1)
     baseline = load_baseline()
@@ -261,11 +262,12 @@ def test_engine_rnr_entries_per_second(benchmark):
     trace = build_trace(rnr=True)
     config = SystemConfig.experiment()
     entries = len(trace)
-    benchmark.pedantic(
+    stats = benchmark.pedantic(
         lambda: SimulationEngine(config, make_prefetcher("rnr")).run(trace),
         rounds=3,
         iterations=1,
     )
+    assert stats.prefetch.issued > 0
     rate = entries / benchmark.stats.stats.min
     benchmark.extra_info["entries_per_second"] = round(rate, 1)
     baseline = load_baseline()

@@ -7,7 +7,11 @@ Usage::
     python -m repro.experiments --scale test   # fast smoke pass
     python -m repro.experiments fig06 --jobs 4 # parallel sweep, 4 workers
 
-Figure names: fig01, fig06 ... fig14, record, hw.
+Figure names are the keys of ``FIGURES`` (``--help`` lists them).  After
+the tables comes one ``claim`` line for each paper claim of a rendered
+figure (:mod:`repro.experiments.claims`), reading ``ok``, ``FAILED``,
+``unavailable`` or ``bench scale only``; a ``FAILED`` claim makes the run
+exit 1.
 
 ``--jobs N`` (default: the ``RNR_JOBS`` environment variable, else the
 number of CPUs this process may run on) prewarms every requested figure's
@@ -22,12 +26,13 @@ the packed binary file instead of rebuilding the stream in Python.
 The sweep runs under supervision (:mod:`repro.experiments.supervise`):
 ``--cell-timeout`` bounds each cell's wall clock, ``--retries`` re-runs
 transiently failed cells with backoff, and a JSON manifest written next to
-the cell cache lets ``--resume`` skip already-finished cells.  By default
-(``--strict``) any permanently failed cell makes the run exit non-zero
-after printing the failure report; ``--lenient`` renders the figures
-anyway, with failed cells shown as ``-`` and a footnote.  An interrupted
-sweep (SIGINT/SIGTERM) drains gracefully, flushes the manifest, and
-exits with status 130.
+the cell cache (or at ``--manifest``) lets ``--resume`` skip
+already-finished cells; ``--resume`` with neither is a usage error.  By
+default (``--strict``) any permanently failed cell makes the run exit
+non-zero after printing the failure report; ``--lenient`` renders the
+figures anyway, with failed cells shown as ``-`` and a footnote.  An
+interrupted sweep (SIGINT/SIGTERM) drains gracefully, flushes the
+manifest, if there is one, and exits with status 130.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ import sys
 import time
 
 from repro.experiments import (
+    ablations,
+    claims,
+    extra_workloads,
     faults as faults_mod,
     fig01_scatter,
     fig06_speedup,
@@ -50,6 +58,7 @@ from repro.experiments import (
     fig13_storage,
     fig14_window_sweep,
     hw_overhead,
+    multicore,
     record_overhead,
     supervise,
 )
@@ -71,6 +80,10 @@ FIGURES = {
     "fig13": fig13_storage,
     "fig14": fig14_window_sweep,
     "record": record_overhead,
+    "hw": hw_overhead,
+    "ablations": ablations,
+    "extra": extra_workloads,
+    "multicore": multicore,
 }
 
 
@@ -95,7 +108,7 @@ def main(argv=None) -> int:
         "figures",
         nargs="*",
         metavar="FIG",
-        help=f"figures to run (default: all). Known: {', '.join(FIGURES)}, hw",
+        help=f"figures to run (default: all). Known: {', '.join(FIGURES)}",
     )
     parser.add_argument("--scale", default="bench", choices=("bench", "test"))
     parser.add_argument("--window", type=int, default=16, help="RnR window size")
@@ -202,13 +215,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    names = args.figures or list(FIGURES) + ["hw"]
-    unknown = [n for n in names if n not in FIGURES and n != "hw"]
+    names = args.figures or list(FIGURES)
+    unknown = [n for n in names if n not in FIGURES]
     if unknown:
         parser.error(f"unknown figures: {', '.join(unknown)}")
 
     cache_dir = _store_root(parser, "--cache-dir", args.cache_dir, DiskCellCache)
     trace_store_dir = _store_root(parser, "--trace-store", args.trace_store, TraceStore)
+    if args.resume and args.manifest is None and cache_dir is None:
+        parser.error(
+            "--resume needs a sweep manifest: pass --manifest or --cache-dir "
+            f"(or set ${DiskCellCache.ENV})"
+        )
 
     try:
         faults = faults_mod.faults_from_env()
@@ -253,9 +271,8 @@ def main(argv=None) -> int:
     if supervised:
         specs = []
         for name in names:
-            module = FIGURES.get(name)
-            if module is not None and hasattr(module, "specs"):
-                specs.extend(module.specs(runner))
+            if hasattr(FIGURES[name], "specs"):
+                specs.extend(FIGURES[name].specs(runner))
         if specs:
             try:
                 report = supervise.run_supervised_sweep(
@@ -273,8 +290,11 @@ def main(argv=None) -> int:
                 return 2
             print(f"[{report.render()}]")
             if report.interrupted:
-                # Graceful drain already flushed the manifest; a distinct
+                # Graceful drain already flushed any manifest; a distinct
                 # status lets wrappers tell "stopped" from "failed".
+                manifest = args.manifest or supervise.default_manifest_path(runner)
+                if manifest is not None:
+                    print(f"[manifest flushed to {manifest}: --resume continues it]")
                 return supervise.INTERRUPT_EXIT_STATUS
             if report.failures and args.strict:
                 print(
@@ -293,14 +313,17 @@ def main(argv=None) -> int:
         print(f"[telemetry: {runner.telemetry.root}]")
     for name in names:
         began = time.time()
-        if name == "hw":
-            print(hw_overhead.report())
-        else:
-            print(FIGURES[name].report(runner))
+        print(FIGURES[name].report(runner))
         print(f"[{name}: {time.time() - began:.0f}s]")
         print()
+    statuses = []
+    for claim in claims.CLAIMS:
+        if claim.figure in names:
+            status, line = claim.check(runner)
+            statuses.append(status)
+            print(line)
     print(f"total: {time.time() - start:.0f}s")
-    return 0
+    return 1 if claims.FAILED in statuses else 0
 
 
 if __name__ == "__main__":

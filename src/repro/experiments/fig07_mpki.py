@@ -57,9 +57,9 @@ def compute(runner: ExperimentRunner) -> Dict[str, Dict[str, Dict[str, float]]]:
     return out
 
 
-def mpki_reduction_summary(runner: ExperimentRunner) -> Dict[str, float]:
-    """Average fractional MPKI reduction of RnR-Combined per application."""
-    data = compute(runner)
+def mpki_reduction_summary(data) -> Dict[str, float]:
+    """Average fractional MPKI reduction of RnR-Combined per application,
+    from :func:`compute`'s output."""
     summary = {}
     for app, per_input in data.items():
         reductions = []
@@ -86,7 +86,7 @@ def report(runner: ExperimentRunner) -> str:
         title="Fig 7 — steady-state demand L2 MPKI",
         footnote=runner.missing_note(),
     )
-    summary = mpki_reduction_summary(runner)
+    summary = mpki_reduction_summary(data)
     lines = [table, "", "RnR-Combined demand-miss reduction (paper: 97.3%/94.6%/98.9%):"]
     for app, reduction in summary.items():
         lines.append(f"  {app}: {100 * reduction:.1f}%")

@@ -45,8 +45,8 @@ def compute(runner: ExperimentRunner) -> Dict[str, Dict[str, Dict[str, float]]]:
     return out
 
 
-def rnr_average_accuracy(runner: ExperimentRunner) -> float:
-    data = compute(runner)
+def rnr_average_accuracy(data) -> float:
+    """Mean RnR accuracy over every cell of :func:`compute`'s output."""
     values = [row["rnr"] for per_input in data.values() for row in per_input.values()]
     if not values:
         return 0.0
@@ -77,7 +77,7 @@ def report(runner: ExperimentRunner) -> str:
         title="Fig 9 — prefetching accuracy (%)",
         footnote=runner.missing_note(),
     )
-    average = rnr_average_accuracy(runner)
+    average = rnr_average_accuracy(data)
     rendered = "-" if average != average else f"{100 * average:.1f}%"
     return (
         table

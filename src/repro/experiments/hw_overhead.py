@@ -23,8 +23,9 @@ def compute(cores: int = 4) -> dict:
     }
 
 
-def report(cores: int = 4) -> str:
-    data = compute(cores)
+def report(runner=None) -> str:
+    """The table; analytic, so ``runner`` is unused."""
+    data = compute()
     rows = [
         ["per-core storage (B)", f"{data['per_core_bytes']:.0f}", "< 1024"],
         ["per-core area (mm^2)", f"{data['per_core_area_mm2']:.2e}", "2.7e-3"],

@@ -269,7 +269,7 @@ class SweepReport:
             f"{len(self.failures)} failed in {self.duration:.1f}s"
         )
         if self.interrupted:
-            header += "\nsweep interrupted: manifest flushed, --resume continues it"
+            header += "\nsweep interrupted"
         if self.manifest_corrupt:
             header += (
                 "\nmanifest was corrupt: previous progress discarded, "

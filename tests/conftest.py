@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
 All unit/integration tests run on the ``tiny`` system configuration and
-``test``-scale inputs so the whole suite stays fast; benchmark-scale runs
-live under ``benchmarks/``.
+``test``-scale inputs so the whole suite stays fast; bench-scale runs are
+``python -m repro.experiments``, whose default scale is ``bench``.
 """
 
 from __future__ import annotations

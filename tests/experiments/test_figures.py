@@ -1,13 +1,15 @@
 """Smoke tests for every figure module (test scale).
 
 These verify the figure plumbing — data shape, table rendering, paper
-references — not the bench-scale numbers (those live in benchmarks/ and
-EXPERIMENTS.md).
+references — and the paper claims that hold at test scale.  The
+bench-scale numbers live in EXPERIMENTS.md, and ``python -m
+repro.experiments`` checks every claim at bench scale.
 """
 
 import pytest
 
 from repro.experiments import (
+    claims,
     fig01_scatter,
     fig06_speedup,
     fig07_mpki,
@@ -21,7 +23,7 @@ from repro.experiments import (
     hw_overhead,
     record_overhead,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import CellSpec, ExperimentRunner
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +66,7 @@ class TestFig07:
         assert all("baseline" in row for p in data.values() for row in p.values())
 
     def test_summary_per_app(self, runner):
-        summary = fig07_mpki.mpki_reduction_summary(runner)
+        summary = fig07_mpki.mpki_reduction_summary(fig07_mpki.compute(runner))
         assert set(summary) == {"pagerank", "hyperanf", "spcg"}
 
 
@@ -82,7 +84,8 @@ class TestFig08And09:
                 assert all(0.0 <= value <= 1.0 for value in row.values())
 
     def test_rnr_average_accuracy(self, runner):
-        assert 0.0 <= fig09_accuracy.rnr_average_accuracy(runner) <= 1.0
+        data = fig09_accuracy.compute(runner)
+        assert 0.0 <= fig09_accuracy.rnr_average_accuracy(data) <= 1.0
 
 
 class TestFig10And11:
@@ -130,3 +133,27 @@ class TestScalars:
         assert data["per_core_bytes"] < 1024
         assert data["save_restore_bytes"] == 86.5
         assert "86.5" in hw_overhead.report()
+
+
+class TestClaims:
+    def test_test_scale_claims_hold(self, runner):
+        checked = [claim for claim in claims.CLAIMS if claim.test_scale]
+        assert [claim.figure for claim in checked] == [
+            "fig07", "fig09", "fig11", "fig11", "hw", "hw", "hw"
+        ]
+        for claim in checked:
+            status, line = claim.check(runner)
+            assert status == claims.OK, line
+
+    def test_missing_input_cell_reads_unavailable(self, runner):
+        # A lenient runner that shares the module runner's cells but lost
+        # one, as a sweep that could not produce it leaves things.
+        fig09_accuracy.compute(runner)
+        lenient = ExperimentRunner(scale="test", iterations=2, window_size=8, lenient=True)
+        lenient._results = dict(runner._results)
+        del lenient._results[lenient._result_key("pagerank", "urand", "rnr", None, None)]
+        lenient.mark_failed(CellSpec("pagerank", "urand", "rnr"), "crash")
+        [claim] = [claim for claim in claims.CLAIMS if claim.figure == "fig09"]
+        status, line = claim.check(lenient)
+        assert status == claims.UNAVAILABLE
+        assert line.startswith("claim fig09 unavailable: ")

@@ -9,6 +9,7 @@ import pytest
 from repro.experiments import supervise
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import (
+    MANIFEST_NAME,
     CellFailure,
     FailureKind,
     RetryPolicy,
@@ -32,10 +33,24 @@ SPECS = [
 
 #: Fast backoff so retry tests finish in milliseconds.
 FAST = dict(backoff=0.01, backoff_max=0.02, jitter=0.0)
+ONE_RETRY = RetryPolicy(retries=1, **FAST)
 
 
 def _runner():
     return ExperimentRunner(scale="test", cache_dir=None)
+
+
+def _cached_runner(tmp_path, **kwargs):
+    """A runner with a cell cache and a trace store, so the sweep report's
+    store counters and the default manifest show every commit."""
+    return ExperimentRunner(
+        scale="test", cache_dir=tmp_path / "cache", trace_store=tmp_path / "store", **kwargs
+    )
+
+
+def _manifest_cells(runner):
+    path = runner.cache.root / MANIFEST_NAME
+    return SweepManifest.load(path, runner_fingerprint(runner)).cells
 
 
 class TestCellId:
@@ -310,6 +325,33 @@ class TestHappyPath:
         assert report.skipped == 1
         assert report.simulated == len(SPECS) - 1
 
+    def test_all_cells_commit_exactly_once(self, tmp_path):
+        runner = _cached_runner(tmp_path)
+        report = run_supervised_sweep(runner, SPECS, jobs=2, policy=ONE_RETRY)
+        assert report.simulated == len(SPECS)
+        assert not report.failures and report.ok
+        assert report.retried == 0
+        # One publish per cell: nothing committed twice.
+        assert report.cell_cache["stores"] == len(SPECS)
+        # Every result was merged: figures can render with no simulation.
+        for spec in SPECS:
+            assert runner.run_spec(spec) is not None
+        cells = _manifest_cells(runner)
+        assert sorted(cells) == sorted(cell_id(s) for s in SPECS)
+        assert all(entry["status"] == "done" for entry in cells.values())
+        assert all(entry["attempts"] == 1 for entry in cells.values())
+
+    def test_second_sweep_is_fully_warm(self, tmp_path):
+        run_supervised_sweep(_cached_runner(tmp_path), SPECS, jobs=2, policy=ONE_RETRY)
+        report = run_supervised_sweep(
+            _cached_runner(tmp_path), SPECS, jobs=2, policy=ONE_RETRY, resume=True
+        )
+        # Nothing simulated, nothing rebuilt: warm cache + manifest.
+        assert report.simulated == 0
+        assert report.skipped + report.resumed == len(SPECS)
+        assert report.cell_cache["stores"] == 0
+        assert report.trace_store["builds"] == 0
+
 
 class TestFaultIsolation:
     def test_raising_cell_fails_fast_rest_completes(self, tmp_path):
@@ -329,6 +371,7 @@ class TestFaultIsolation:
         assert failure.kind == FailureKind.ERROR
         assert failure.attempts == 1
         assert "InjectedFault" in failure.message
+        assert report.retried == 0
         assert report.simulated == len(SPECS) - 1
         for spec in SPECS[:1] + SPECS[2:]:
             assert runner.run_spec(spec) is not None
@@ -349,6 +392,76 @@ class TestFaultIsolation:
         assert report.ok
         assert report.retried == 1
         assert report.simulated == 2
+
+    def test_transient_error_retried_then_permanent(self):
+        victim = cell_id(SPECS[0])
+        report = run_supervised_sweep(
+            _runner(), SPECS[:1], jobs=1, policy=ONE_RETRY, faults={victim: ("cache", None)}
+        )
+        # Cache corruption may be the environment's fault: retried once,
+        # then failed permanently when it persists.
+        assert report.retried == 1
+        [failure] = report.failures
+        assert failure.cell == victim
+        assert failure.kind == FailureKind.CACHE_CORRUPTION
+        assert failure.attempts == ONE_RETRY.max_attempts
+
+    def test_crashed_first_attempts_commit_exactly_once(self, tmp_path):
+        runner = _cached_runner(tmp_path)
+        # Every cell's first attempt kills its worker before a result
+        # message is sent; the supervisor must notice each loss.
+        report = run_supervised_sweep(
+            runner, SPECS, jobs=2, policy=ONE_RETRY,
+            faults={cell_id(spec): ("crash", 1) for spec in SPECS},
+        )
+        # Exactly once: every cell committed, none lost, none duplicated.
+        assert report.simulated == len(SPECS)
+        assert not report.failures
+        assert report.retried == len(SPECS)
+        assert report.cell_cache["stores"] == len(SPECS)
+        cells = _manifest_cells(runner)
+        assert sorted(cells) == sorted(cell_id(s) for s in SPECS)
+        assert all(entry["status"] == "done" for entry in cells.values())
+        assert all(entry["attempts"] == 2 for entry in cells.values())
+
+    def test_hung_first_attempts_commit_exactly_once(self, tmp_path):
+        runner = _cached_runner(tmp_path)
+        stalled = SPECS[:2]
+        # Both cells stall past their deadline on the first attempt.  The
+        # stalled worker is killed, so its result can never land late; the
+        # retry commits each cell exactly once.
+        report = run_supervised_sweep(
+            runner, stalled, jobs=2, cell_timeout=5.0, policy=ONE_RETRY,
+            faults={cell_id(spec): ("hang", 1) for spec in stalled},
+        )
+        assert report.simulated == 2
+        assert not report.failures
+        assert report.retried == 2
+        assert report.cell_cache["stores"] == 2
+        cells = _manifest_cells(runner)
+        assert all(entry["status"] == "done" for entry in cells.values())
+        assert all(entry["attempts"] == 2 for entry in cells.values())
+
+    def test_poison_cell_does_not_sink_the_sweep(self, tmp_path):
+        runner = _cached_runner(tmp_path, lenient=True)
+        victim = cell_id(SPECS[1])
+        report = run_supervised_sweep(
+            runner, SPECS, jobs=2, policy=ONE_RETRY, faults={victim: ("crash", None)}
+        )
+        # The crashing cell killed a worker on every attempt and failed
+        # permanently; every other cell still committed exactly once.
+        assert report.simulated == len(SPECS) - 1
+        [failure] = report.failures
+        assert failure.kind == FailureKind.CRASH
+        assert failure.cell == victim
+        assert failure.attempts == ONE_RETRY.max_attempts
+        assert report.cell_cache["stores"] == len(SPECS) - 1
+        # Degraded-figure machinery: the failed cell renders as '-'.
+        assert runner.run_spec(SPECS[1]) is None
+        assert runner.missing_note()
+        cells = _manifest_cells(runner)
+        assert cells[victim]["status"] == "failed"
+        assert cells[victim]["kind"] == FailureKind.CRASH
 
     def test_crash_and_hang_isolated_then_resumed(self, tmp_path):
         """The acceptance scenario: one crashing cell, one hanging cell;
@@ -461,3 +574,34 @@ class TestResumeGuards:
         report = run_supervised_sweep(runner, SPECS[:1], jobs=1, resume=True)
         assert report.resumed == 0
         assert report.simulated == 1
+
+    def test_manifest_done_cells_skipped(self, tmp_path):
+        runner = _runner()
+        path = tmp_path / "m.json"
+        manifest = SweepManifest(path, runner_fingerprint(runner))
+        manifest.mark_done(cell_id(SPECS[0]), attempts=1, duration=1.0)
+        manifest.save()
+        report = run_supervised_sweep(
+            runner, SPECS[:2], jobs=1, policy=ONE_RETRY, manifest_path=path, resume=True
+        )
+        assert report.resumed == 1
+        assert report.simulated == 1
+
+
+class TestTelemetry:
+    def test_sweep_telemetry_tree_validates(self, tmp_path):
+        from repro.telemetry.check import check_tree
+        from repro.telemetry.config import TelemetryConfig
+
+        runner = _cached_runner(tmp_path, telemetry=TelemetryConfig(out_dir=tmp_path / "tel"))
+        report = run_supervised_sweep(runner, SPECS[:2], jobs=2, policy=ONE_RETRY)
+        assert report.simulated == 2
+        # The supervisor's sweep-events.jsonl (sweep schema) and the
+        # workers' per-cell trees all pass repro.telemetry.check.
+        summary = check_tree(tmp_path / "tel", [])
+        assert "sweep telemetry present" in summary
+        lines = (tmp_path / "tel" / "sweep-events.jsonl").read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        done = [event["cell"] for event in events if event["ev"] == "cell.done"]
+        assert sorted(done) == sorted(cell_id(s) for s in SPECS[:2])
+        assert events[-1]["ev"] == "sweep.end"

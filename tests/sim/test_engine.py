@@ -9,7 +9,7 @@ from repro.config import LINE_SIZE, SystemConfig
 from repro.prefetchers import make_prefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
 from repro.sim.engine import SimulationEngine
-from repro.telemetry.collector import TelemetryCollector
+from repro.telemetry.collector import NullCollector, TelemetryCollector
 from repro.telemetry.config import TelemetryConfig
 from repro.trace.builder import TraceBuilder
 
@@ -98,6 +98,10 @@ class TestLoopDispatch:
             ("rnr", "straight", False, "_run_straight"),
             (None, "fast", True, "_run_straight"),
             ("rnr", "fast", True, "_run_straight"),
+            # An explicit NullCollector takes the default run's loop, which
+            # the paired <2% timing guards in tests/telemetry rest on.
+            (None, "fast", "null", "_run_slim_fast"),
+            ("rnr", "fast", "null", "_run_hooks_fast"),
         ],
     )
     def test_loop_choice(self, prefetcher, backend, telemetry, expected,
@@ -108,11 +112,12 @@ class TestLoopDispatch:
         for name, loop in list(vars(SimulationEngine).items()):
             if name.startswith("_run_"):
                 monkeypatch.setattr(SimulationEngine, name, _counting(name, loop, calls))
-        collector = (
-            TelemetryCollector(TelemetryConfig(out_dir=None, sample_interval=500))
-            if telemetry
-            else None
-        )
+        if telemetry == "null":
+            collector = NullCollector()
+        elif telemetry:
+            collector = TelemetryCollector(TelemetryConfig(out_dir=None, sample_interval=500))
+        else:
+            collector = None
         engine = SimulationEngine(
             tiny_config,
             make_prefetcher(prefetcher) if prefetcher else None,
