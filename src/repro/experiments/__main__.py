@@ -13,26 +13,24 @@ figure (:mod:`repro.experiments.claims`), reading ``ok``, ``FAILED``,
 ``unavailable`` or ``bench scale only``; a ``FAILED`` claim makes the run
 exit 1.
 
-``--jobs N`` (default: the ``RNR_JOBS`` environment variable, else the
-number of CPUs this process may run on) prewarms every requested figure's
-cell matrix across N worker processes before the reports render serially
-from the warm memo.
-``--cache-dir DIR`` (default: ``RNR_CACHE_DIR``) persists finished cells
-on disk across invocations.  ``--trace-store DIR`` (default:
-``RNR_TRACE_STORE``) persists the recorded workload traces themselves: a
-sweep builds each trace at most once ever and every worker ``mmap``-loads
-the packed binary file instead of rebuilding the stream in Python.
+Every requested figure's cells are simulated by a supervised sweep
+(:mod:`repro.experiments.supervise`) across ``--jobs N`` worker processes
+(default: the ``RNR_JOBS`` environment variable, else the number of CPUs
+this process may run on); the reports then render serially from the warm
+memo.  ``--cache-dir DIR`` (default: ``RNR_CACHE_DIR``) persists finished
+cells on disk across invocations, so re-running with the same cache
+simulates only the cells that are missing.  ``--trace-store DIR``
+(default: ``RNR_TRACE_STORE``) persists the recorded workload traces
+themselves: a sweep builds each trace at most once ever and every worker
+``mmap``-loads the packed binary file instead of rebuilding the stream in
+Python.
 
-The sweep runs under supervision (:mod:`repro.experiments.supervise`):
-``--cell-timeout`` bounds each cell's wall clock, ``--retries`` re-runs
-transiently failed cells with backoff, and a JSON manifest written next to
-the cell cache (or at ``--manifest``) lets ``--resume`` skip
-already-finished cells; ``--resume`` with neither is a usage error.  By
-default (``--strict``) any permanently failed cell makes the run exit
-non-zero after printing the failure report; ``--lenient`` renders the
-figures anyway, with failed cells shown as ``-`` and a footnote.  An
-interrupted sweep (SIGINT/SIGTERM) drains gracefully, flushes the
-manifest, if there is one, and exits with status 130.
+``--cell-timeout`` bounds each cell's wall clock and ``--retries`` re-runs
+transiently failed cells.  By default (``--strict``) any permanently
+failed cell makes the run exit non-zero after printing the failure report;
+``--lenient`` renders the figures anyway, with failed cells shown as ``-``
+and a footnote.  An interrupted sweep (SIGINT/SIGTERM) drains gracefully
+and exits with status 130.
 """
 
 from __future__ import annotations
@@ -156,19 +154,6 @@ def main(argv=None) -> int:
         help="re-attempts for transiently failed cells "
         "(timeout/crash/cache corruption; default: 1)",
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells the sweep manifest already marks done "
-        "(re-runs only failed/missing cells)",
-    )
-    parser.add_argument(
-        "--manifest",
-        default=None,
-        metavar="PATH",
-        help="sweep manifest location (default: sweep-manifest.json "
-        "inside the cell cache directory)",
-    )
     strictness = parser.add_mutually_exclusive_group()
     strictness.add_argument(
         "--strict",
@@ -222,11 +207,6 @@ def main(argv=None) -> int:
 
     cache_dir = _store_root(parser, "--cache-dir", args.cache_dir, DiskCellCache)
     trace_store_dir = _store_root(parser, "--trace-store", args.trace_store, TraceStore)
-    if args.resume and args.manifest is None and cache_dir is None:
-        parser.error(
-            "--resume needs a sweep manifest: pass --manifest or --cache-dir "
-            f"(or set ${DiskCellCache.ENV})"
-        )
 
     try:
         faults = faults_mod.faults_from_env()
@@ -258,53 +238,41 @@ def main(argv=None) -> int:
     )
     start = time.time()
 
-    # Figures simulate inline only for a plain serial run with no
-    # supervision features requested; any timeout/retry/resume/fault use
-    # goes through the supervised sweep even with one worker.
-    supervised = (
-        jobs > 1
-        or args.resume
-        or cell_timeout is not None
-        or bool(faults)
-        or args.manifest is not None
-    )
-    if supervised:
-        specs = []
-        for name in names:
-            if hasattr(FIGURES[name], "specs"):
-                specs.extend(FIGURES[name].specs(runner))
-        if specs:
-            try:
-                report = supervise.run_supervised_sweep(
-                    runner,
-                    specs,
-                    jobs=jobs,
-                    cell_timeout=cell_timeout,
-                    policy=policy,
-                    manifest_path=args.manifest,
-                    resume=args.resume,
-                    faults=faults,
-                )
-            except supervise.ManifestVersionError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(f"[{report.render()}]")
-            if report.interrupted:
-                # Graceful drain already flushed any manifest; a distinct
-                # status lets wrappers tell "stopped" from "failed".
-                manifest = args.manifest or supervise.default_manifest_path(runner)
-                if manifest is not None:
-                    print(f"[manifest flushed to {manifest}: --resume continues it]")
-                return supervise.INTERRUPT_EXIT_STATUS
-            if report.failures and args.strict:
+    # Every figure cell is simulated inside the supervised sweep, even with
+    # one worker; figures without specs (ablations, extra, multicore, hw)
+    # compute inline while they render.
+    specs = []
+    for name in names:
+        if hasattr(FIGURES[name], "specs"):
+            specs.extend(FIGURES[name].specs(runner))
+    if specs:
+        report = supervise.run_supervised_sweep(
+            runner,
+            specs,
+            jobs=jobs,
+            cell_timeout=cell_timeout,
+            policy=policy,
+            faults=faults,
+        )
+        print(f"[{report.render()}]")
+        if report.interrupted:
+            # A distinct status lets wrappers tell "stopped" from "failed".
+            manifest = supervise.default_manifest_path(runner)
+            if manifest is not None:
                 print(
-                    "strict mode: failing because "
-                    f"{len(report.failures)} cell(s) could not be produced "
-                    "(re-run with --resume to retry only those, "
-                    "or --lenient to render partial figures)",
-                    file=sys.stderr,
+                    f"[manifest flushed to {manifest}: re-running with the "
+                    "same --cache-dir continues it]"
                 )
-                return 1
+            return supervise.INTERRUPT_EXIT_STATUS
+        if report.failures and args.strict:
+            print(
+                "strict mode: failing because "
+                f"{len(report.failures)} cell(s) could not be produced "
+                "(re-run with the same --cache-dir to retry only those, "
+                "or --lenient to render partial figures)",
+                file=sys.stderr,
+            )
+            return 1
     if runner.cache is not None:
         print(f"[{runner.cache.describe()}]")
     if runner.trace_store is not None:

@@ -1,57 +1,13 @@
 """ASCII chart rendering for figure reports.
 
-The paper presents its evaluation as bar charts and one scatter plot; the
-tables in each figure module are the canonical machine-readable output,
-and these renderers give a visual impression in a terminal or CI log.
+The tables in each figure module are the canonical machine-readable
+output; Fig 1's scatter plot is also drawn as a character grid for a
+visual impression in a terminal or CI log.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
-
-BAR_CHAR = "#"
-
-
-def bar_chart(
-    items: Sequence[Tuple[str, float]],
-    title: str = "",
-    width: int = 48,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart, one row per (label, value)."""
-    if not items:
-        return title
-    label_width = max(len(label) for label, _ in items)
-    peak = max((value for _, value in items), default=0.0)
-    scale = (width / peak) if peak > 0 else 0.0
-    rows = [title] if title else []
-    for label, value in items:
-        bar = BAR_CHAR * max(0, int(round(value * scale)))
-        rows.append(f"{label.ljust(label_width)}  {bar} {value:.2f}{unit}")
-    return "\n".join(rows)
-
-
-def grouped_bar_chart(
-    groups: Dict[str, Sequence[Tuple[str, float]]],
-    title: str = "",
-    width: int = 48,
-    unit: str = "",
-) -> str:
-    """Bar chart with blank-line-separated groups (one per workload)."""
-    rows = [title] if title else []
-    peak = max(
-        (value for items in groups.values() for _, value in items), default=0.0
-    )
-    scale = (width / peak) if peak > 0 else 0.0
-    label_width = max(
-        (len(label) for items in groups.values() for label, _ in items), default=0
-    )
-    for group_name, items in groups.items():
-        rows.append(f"[{group_name}]")
-        for label, value in items:
-            bar = BAR_CHAR * max(0, int(round(value * scale)))
-            rows.append(f"  {label.ljust(label_width)}  {bar} {value:.2f}{unit}")
-    return "\n".join(rows)
+from typing import Dict, Tuple
 
 
 def scatter_plot(

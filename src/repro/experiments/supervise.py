@@ -9,17 +9,18 @@ supervision discipline of a long-running serving stack:
 * **per-cell wall-clock timeouts** (``cell_timeout`` argument,
   ``--cell-timeout`` flag, or ``RNR_CELL_TIMEOUT``) — a hung worker is
   killed and only its cell is charged;
-* **bounded retries with exponential backoff + jitter**
-  (:class:`RetryPolicy`) for transient failures (timeouts, crashes,
-  cache corruption); deterministic errors fail immediately;
+* **bounded retries** (:class:`RetryPolicy`) for transient failures
+  (timeouts, crashes, cache corruption); a retried cell rejoins the back
+  of the ready queue, and deterministic errors fail immediately;
 * **crash isolation** — each worker is a separate process with its own
   result pipe; a dead worker (exception we never saw, signal, OOM kill)
   fails only the cell it was running, and a replacement worker is
   spawned;
-* a **sweep manifest** (:class:`SweepManifest`) — a JSON file written
-  atomically after every event, recording per-cell status / attempts /
-  duration / failure, which ``resume=True`` uses to skip finished cells
-  and re-run only the failed ones after an interruption;
+* **resume from the cell cache** — the cache is the only record of
+  finished work, so re-running an interrupted or partly failed sweep with
+  the same cache simulates only the missing cells; a **sweep manifest**
+  (:class:`SweepManifest`) next to the cache records each cell's status,
+  attempts, duration and failure, written atomically after every event;
 * a **failure taxonomy** (:class:`FailureKind`: timeout / crash /
   deterministic error / cache corruption) and a structured end-of-sweep
   report (:meth:`SweepReport.render`).
@@ -45,7 +46,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import random
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -63,7 +63,7 @@ from repro.experiments.runner import (
     prefetchers_for,
 )
 from repro.telemetry.sweep import SweepTelemetry
-from repro.trace.store import TraceStore, content_key
+from repro.trace.store import TraceStore
 
 #: Environment variable providing the default worker count.
 JOBS_ENV = "RNR_JOBS"
@@ -71,29 +71,11 @@ JOBS_ENV = "RNR_JOBS"
 #: Environment variable providing the default per-cell timeout (seconds).
 CELL_TIMEOUT_ENV = "RNR_CELL_TIMEOUT"
 
-#: Manifest file-framing version (the wrapper layout around the payload).
-MANIFEST_FORMAT = 1
-
-#: Manifest cell-schema version, stamped into every saved manifest.
-#: Bump when the meaning/shape of per-cell entries changes.
-MANIFEST_SCHEMA_VERSION = 2
-
-#: Schema versions this build can resume from.  Version 1 manifests
-#: (written before the stamp existed) carry no ``schema_version`` key.
-SUPPORTED_MANIFEST_SCHEMAS = frozenset({1, MANIFEST_SCHEMA_VERSION})
-
-#: Default manifest file name (placed next to the cell cache entries).
+#: Manifest file name (placed next to the cell cache entries).
 MANIFEST_NAME = "sweep-manifest.json"
 
 #: Supervisor poll interval in seconds (timeout/death detection latency).
 _POLL_SECONDS = 0.02
-
-
-class ManifestVersionError(RuntimeError):
-    """A sweep manifest carries a schema version this build does not
-    understand (e.g. written by a newer release).  Raised on ``--resume``
-    so the mismatch fails with one actionable line instead of silently
-    discarding — or misreading — recorded progress."""
 
 
 class FailureKind:
@@ -109,8 +91,9 @@ class FailureKind:
 
 
 #: Exit status for a sweep stopped by SIGINT/SIGTERM after a graceful
-#: drain (manifest flushed; ``--resume`` continues it).  Distinct from 0
-#: (complete) and 1 (cells failed permanently).
+#: drain (finished cells stay in the cell cache, if one is configured,
+#: and a re-run with it continues the sweep).  Distinct from 0 (complete)
+#: and 1 (cells failed permanently).
 INTERRUPT_EXIT_STATUS = 130
 
 
@@ -185,32 +168,24 @@ def cell_id(spec: CellSpec) -> str:
 
 @dataclass
 class RetryPolicy:
-    """Bounded retries with exponential backoff and deterministic jitter.
+    """Bounded retries.
 
     ``retries`` is the number of *re*-attempts after the first try, so a
     cell runs at most ``retries + 1`` times.  Only transient failures
-    (:data:`FailureKind.TRANSIENT`) are retried.
+    (:data:`FailureKind.TRANSIENT`) are retried, and without a wait: a
+    timed-out or crashed worker is replaced by a new process, and a
+    corrupt cache entry is deleted when it is read.
     """
 
     retries: int = 1
-    backoff: float = 0.05
-    backoff_max: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        self._rng = random.Random(self.seed)
 
     @property
     def max_attempts(self) -> int:
         return self.retries + 1
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before re-attempt number ``attempt`` (2-based)."""
-        base = min(self.backoff * (2.0 ** max(0, attempt - 2)), self.backoff_max)
-        return base * (1.0 + self.jitter * self._rng.random())
 
 
 @dataclass
@@ -230,7 +205,6 @@ class SweepReport:
 
     simulated: int = 0
     skipped: int = 0  # warm in memo/disk cache before the sweep started
-    resumed: int = 0  # skipped because the manifest already marked them done
     retried: int = 0  # extra attempts beyond the first, across all cells
     duration: float = 0.0
     failures: List[CellFailure] = field(default_factory=list)
@@ -245,12 +219,10 @@ class SweepReport:
     #: counts concurrent-writer publishes that lost the first-winner
     #: rename (safe; surfaced for observability).
     cell_cache: Optional[Dict[str, int]] = None
-    #: The sweep was stopped by SIGINT/SIGTERM; the manifest was flushed
-    #: and ``--resume`` continues from it.
+    #: The sweep was stopped by SIGINT/SIGTERM.  Cells finished before the
+    #: stop are in the cell cache, if one is configured; a re-run with the
+    #: same cache simulates only the rest.
     interrupted: bool = False
-    #: ``--resume`` found the manifest present but unreadable (truncated
-    #: or corrupt JSON); the affected cells were restarted from scratch.
-    manifest_corrupt: bool = False
     #: Worker seconds of every simulated or permanently failed cell,
     #: summed over its attempts (cell id -> seconds).
     cell_seconds: Dict[str, float] = field(default_factory=dict)
@@ -265,16 +237,11 @@ class SweepReport:
         """The structured end-of-sweep failure report."""
         header = (
             f"sweep: {self.simulated} simulated, {self.skipped} warm, "
-            f"{self.resumed} resumed, {self.retried} retries, "
+            f"{self.retried} retries, "
             f"{len(self.failures)} failed in {self.duration:.1f}s"
         )
         if self.interrupted:
             header += "\nsweep interrupted"
-        if self.manifest_corrupt:
-            header += (
-                "\nmanifest was corrupt: previous progress discarded, "
-                "affected cells restarted"
-            )
         for store_cls, counters in (
             (TraceStore, self.trace_store),
             (DiskCellCache, self.cell_cache),
@@ -308,72 +275,27 @@ class SweepReport:
 # Manifest
 # ----------------------------------------------------------------------
 class SweepManifest:
-    """Atomic JSON record of per-cell sweep status.
+    """Atomic JSON record of per-cell sweep status, kept next to the cell
+    cache.  The sweep never reads it to skip work: the cache does that.
 
     One entry per cell id: ``status`` ("done"/"failed"), ``attempts``,
-    ``duration_s`` and — for failures — ``kind`` and ``message``.  The
-    ``fingerprint`` ties the manifest to one runner identity (config,
-    scale, seed, iterations, window, package version); resuming under a
-    different identity starts from scratch rather than skipping cells
-    that were simulated under different conditions.
+    ``duration_s`` and — for failures — ``kind`` and ``message``.
     """
 
-    def __init__(self, path: Union[str, Path], fingerprint: str = ""):
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.fingerprint = fingerprint
         self.cells: Dict[str, dict] = {}
-        #: The file existed but could not be parsed (truncated mid-JSON,
-        #: bit-flipped, ...).  Progress is discarded and the affected
-        #: cells restart; callers surface this on the sweep report.
-        self.corrupt = False
 
-    # ------------------------------------------------------------------
     @classmethod
-    def load(cls, path: Union[str, Path], fingerprint: str = "") -> "SweepManifest":
-        """Load ``path`` if it exists and matches ``fingerprint``; else a
-        fresh manifest bound to the same path.
-
-        A file that exists but cannot be parsed (e.g. cut mid-JSON) marks
-        the returned manifest ``corrupt`` — progress is lost, but the
-        sweep restarts the affected cells instead of raising.  A manifest
-        that parses but carries an unsupported ``schema_version`` raises
-        :class:`ManifestVersionError`: unlike corruption, the file is
-        intact and probably authoritative (written by a newer build), so
-        silently discarding it would be wrong.
-        """
-        manifest = cls(path, fingerprint)
+    def load(cls, path: Union[str, Path]) -> "SweepManifest":
+        """The manifest at ``path``; empty when the file is missing or
+        unreadable (cut mid-JSON, bit-flipped, not a manifest)."""
+        manifest = cls(path)
         try:
-            text = Path(path).read_text()
-        except FileNotFoundError:
+            payload = json.loads(Path(path).read_text())
+        except (OSError, ValueError):
             return manifest
-        except (OSError, UnicodeDecodeError):
-            # Unreadable or undecodable bytes where a manifest should be:
-            # same recovery as cut JSON below.
-            manifest.corrupt = True
-            return manifest
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            manifest.corrupt = True
-            return manifest
-        if not isinstance(payload, dict):
-            manifest.corrupt = True
-            return manifest
-        schema = payload.get(
-            "schema_version", 1 if payload.get("format") == MANIFEST_FORMAT else None
-        )
-        if schema not in SUPPORTED_MANIFEST_SCHEMAS:
-            raise ManifestVersionError(
-                f"sweep manifest {path} has schema_version {schema!r}; this "
-                f"build supports {sorted(SUPPORTED_MANIFEST_SCHEMAS)}. "
-                "It was probably written by a newer release — upgrade, or "
-                "delete the manifest to restart the sweep from the cache."
-            )
-        if payload.get("format") != MANIFEST_FORMAT:
-            return manifest
-        if fingerprint and payload.get("fingerprint") not in ("", fingerprint):
-            return manifest
-        cells = payload.get("cells")
+        cells = payload.get("cells") if isinstance(payload, dict) else None
         if isinstance(cells, dict):
             manifest.cells = {
                 k: v for k, v in cells.items() if isinstance(v, dict) and "status" in v
@@ -382,28 +304,13 @@ class SweepManifest:
 
     def save(self) -> None:
         """Write the manifest atomically (temp file + ``os.replace``)."""
-        from repro.sim.backend import resolve_engine_backend
-
-        payload = {
-            "format": MANIFEST_FORMAT,
-            "schema_version": MANIFEST_SCHEMA_VERSION,
-            "fingerprint": self.fingerprint,
-            # Which engine backend produced these cells (the CLI exports
-            # its --engine choice to RNR_ENGINE before the sweep, so the
-            # env-resolved value is authoritative here).  Informational:
-            # backends are bit-identical by the parity suite, so a
-            # resumed sweep may legally mix them.
-            "engine": resolve_engine_backend(),
-            "updated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "cells": self.cells,
-        }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(self.path.parent), prefix=".tmp-manifest-", suffix=".json"
         )
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                json.dump({"cells": self.cells}, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp_name, self.path)
         except BaseException:
@@ -431,16 +338,6 @@ class SweepManifest:
             "attempts": attempts,
             "duration_s": round(duration, 3),
         }
-
-    def done_cells(self) -> frozenset:
-        return frozenset(
-            cell for cell, entry in self.cells.items() if entry["status"] == "done"
-        )
-
-    def failed_cells(self) -> frozenset:
-        return frozenset(
-            cell for cell, entry in self.cells.items() if entry["status"] == "failed"
-        )
 
 
 def full_matrix_specs(runner: ExperimentRunner) -> List[CellSpec]:
@@ -486,22 +383,6 @@ def pending_specs(
         seen.add(key)
         pending.append(spec)
     return pending
-
-
-def runner_fingerprint(runner: ExperimentRunner) -> str:
-    """Identity of everything that can change a cell's statistics."""
-    import dataclasses as dc
-
-    import repro
-
-    return content_key({
-        "config": dc.asdict(runner.config),
-        "scale": runner.scale,
-        "seed": runner.seed,
-        "iterations": runner.iterations,
-        "window": runner.window_size,
-        "version": repro.__version__,
-    })[:16]
 
 
 def default_manifest_path(runner: ExperimentRunner) -> Optional[Path]:
@@ -683,16 +564,16 @@ def run_supervised_sweep(
     jobs: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     policy: Optional[RetryPolicy] = None,
-    manifest_path: Optional[Union[str, Path]] = None,
-    resume: bool = False,
     faults: Optional[dict] = None,
 ) -> SweepReport:
     """Run ``specs`` (default: the full matrix) under supervision.
 
     Completed cells are merged into ``runner``'s memo (and its disk cache,
     written by the workers); permanently failed cells are recorded on the
-    runner via :meth:`ExperimentRunner.mark_failed`, in the manifest, and
-    in the returned :class:`SweepReport`.
+    runner via :meth:`ExperimentRunner.mark_failed`, in the manifest next
+    to the cell cache, and in the returned :class:`SweepReport`.  Cells
+    already in the memo or the cell cache are not simulated again, so a
+    re-run against the same cache resumes an interrupted sweep.
     """
     began = time.monotonic()
     policy = policy if policy is not None else RetryPolicy()
@@ -706,46 +587,21 @@ def run_supervised_sweep(
     pending = pending_specs(runner, specs)
     report.skipped = len(specs) - len(pending)
 
-    manifest_path = (
-        Path(manifest_path) if manifest_path else default_manifest_path(runner)
-    )
-    fingerprint = runner_fingerprint(runner)
-    if manifest_path is not None and resume:
-        manifest = SweepManifest.load(manifest_path, fingerprint)
-        report.manifest_corrupt = manifest.corrupt
-    elif manifest_path is not None:
-        manifest = SweepManifest(manifest_path, fingerprint)
-    else:
-        manifest = None
-
-    if manifest is not None and resume:
-        # A cell marked done whose result we could not load (memo and disk
-        # cache both cold) is re-run anyway: the manifest records progress,
-        # the cache holds the numbers.
-        done = manifest.done_cells()
-        still_pending = []
-        for spec in pending:
-            if cell_id(spec) in done:
-                report.resumed += 1
-            else:
-                still_pending.append(spec)
-        pending = still_pending
-
     if not pending:
         report.duration = time.monotonic() - began
         if runner.trace_store is not None:
             report.trace_store = runner.trace_store.counters()
         if runner.cache is not None:
             report.cell_cache = runner.cache.counters()
-        if manifest is not None:
-            manifest.save()
         return report
+
+    manifest_path = default_manifest_path(runner)
+    manifest = SweepManifest.load(manifest_path) if manifest_path is not None else None
 
     # ------------------------------------------------------------------
     # Dispatch state
     # ------------------------------------------------------------------
     ready: List[_CellState] = [_CellState(spec) for spec in pending]
-    delayed: List[Tuple[float, _CellState]] = []
     report.workers = min(jobs, len(pending))
 
     cache_dir = runner.cache.root if runner.cache is not None else None
@@ -768,10 +624,6 @@ def run_supervised_sweep(
         SweepTelemetry(runner.telemetry.root) if runner.telemetry is not None else None
     )
 
-    def save_manifest() -> None:
-        if manifest is not None:
-            manifest.save()
-
     def complete(state: _CellState, result, duration: float) -> None:
         state.attempts += 1
         state.elapsed += duration
@@ -781,7 +633,7 @@ def run_supervised_sweep(
         report.cell_seconds[name] = state.elapsed
         if manifest is not None:
             manifest.mark_done(name, state.attempts, state.elapsed)
-        save_manifest()
+            manifest.save()
 
     def fail_or_retry(state: _CellState, kind: str, message: str, duration: float) -> None:
         state.attempts += 1
@@ -789,7 +641,7 @@ def run_supervised_sweep(
         retryable = kind in FailureKind.TRANSIENT
         if retryable and state.attempts < policy.max_attempts:
             report.retried += 1
-            delayed.append((time.monotonic() + policy.delay(state.attempts + 1), state))
+            ready.append(state)
             return
         name = cell_id(state.spec)
         failure = CellFailure(name, kind, state.attempts, message, state.elapsed)
@@ -798,7 +650,7 @@ def run_supervised_sweep(
         runner.mark_failed(state.spec, f"{kind}: {message}")
         if manifest is not None:
             manifest.mark_failed(name, kind, message, state.attempts, state.elapsed)
-        save_manifest()
+            manifest.save()
 
     def handle_message(worker: _Worker, message) -> None:
         """Apply one message about the worker's cell in flight."""
@@ -877,16 +729,7 @@ def run_supervised_sweep(
         pass  # not the main thread; SIGTERM stays at its default
 
     try:
-        while ready or delayed or any(w.busy for w in workers):
-            now = time.monotonic()
-
-            # Promote delayed retries whose backoff has elapsed.
-            if delayed:
-                due = [item for item in delayed if item[0] <= now]
-                if due:
-                    delayed[:] = [item for item in delayed if item[0] > now]
-                    ready.extend(state for _, state in due)
-
+        while ready or any(w.busy for w in workers):
             # Dispatch to idle workers, then start workers up to ``jobs``.
             for worker in workers:
                 if ready and not worker.busy and worker.alive():
@@ -899,10 +742,6 @@ def run_supervised_sweep(
 
             busy = [w for w in workers if w.busy]
             if not busy:
-                if not ready and delayed:
-                    time.sleep(
-                        max(0.0, min(t for t, _ in delayed) - time.monotonic())
-                    )
                 continue
 
             # Wait for events from any busy worker.
@@ -978,7 +817,10 @@ def run_supervised_sweep(
         report.trace_store = runner.trace_store.counters()
     if runner.cache is not None:
         report.cell_cache = runner.cache.counters()
-    save_manifest()
+    if manifest is not None:
+        # A stop that landed inside an earlier save left its last event
+        # unwritten.
+        manifest.save()
     if sweep_tel is not None:
         sweep_tel.write(report)
     return report

@@ -170,8 +170,8 @@ class SimStats:
         """Nested plain-dict form of every counter (JSON-ready).
 
         This is the one serialization path shared by the telemetry
-        interval snapshots, the sweep manifest, and anything else that
-        needs ``SimStats`` outside the process; :meth:`from_dict` is its
+        interval snapshots and anything else that needs ``SimStats``
+        outside the process; :meth:`from_dict` is its
         exact inverse (``SimStats.from_dict(s.as_dict()) == s``).
         """
         return asdict(self)

@@ -1,10 +1,10 @@
 """Graceful interrupt of a one-worker sweep whose manifest sits in its
 default place next to the cell cache.
 
-``--resume`` routes even one worker through the supervised sweep, so a
-SIGTERM must drain it like any other: manifest flushed as valid JSON,
-distinct exit status, and a second ``--resume`` run that finishes the
-matrix without re-running a committed cell.
+One worker runs through the supervised sweep like any other count, so a
+SIGTERM must drain it: manifest flushed as valid JSON, distinct exit
+status, and a re-run with the same cell cache that finishes the matrix
+without re-running a committed cell.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.experiments.supervise import (
     INTERRUPT_EXIT_STATUS,
     MANIFEST_NAME,
     SweepManifest,
-    runner_fingerprint,
 )
 
 
@@ -33,16 +32,13 @@ def _runner(tmp_path):
 
 
 def _manifest_cells(runner):
-    manifest = SweepManifest.load(
-        runner.cache.root / MANIFEST_NAME, runner_fingerprint(runner)
-    )
-    return manifest.cells
+    return SweepManifest.load(runner.cache.root / MANIFEST_NAME).cells
 
 
 class TestGracefulInterrupt:
     """One worker, the manifest in its default place next to the cache."""
 
-    def _popen_sweep(self, tmp_path, *extra):
+    def _popen_sweep(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(__file__).resolve().parents[3] / "src"),
@@ -55,7 +51,6 @@ class TestGracefulInterrupt:
                 "--jobs", "1",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--trace-store", str(tmp_path / "store"),
-                *extra,
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -65,8 +60,8 @@ class TestGracefulInterrupt:
 
     def test_sigterm_drains_and_resume_completes(self, tmp_path):
         manifest_path = tmp_path / "cache" / MANIFEST_NAME
-        # --resume routes even one worker through the supervised sweep.
-        proc = self._popen_sweep(tmp_path, "--resume")
+        # --jobs 1 alone runs through the supervised sweep.
+        proc = self._popen_sweep(tmp_path)
         try:
             deadline = time.time() + 180
             while time.time() < deadline:
@@ -96,7 +91,10 @@ class TestGracefulInterrupt:
                 proc.communicate()
         assert proc.returncode == INTERRUPT_EXIT_STATUS, out
         assert "sweep interrupted" in out
-        assert f"manifest flushed to {manifest_path}: --resume continues it" in out
+        assert (
+            f"manifest flushed to {manifest_path}: re-running with the same "
+            "--cache-dir continues it" in out
+        )
         # The manifest survived the drain as valid JSON with progress.
         payload = json.loads(manifest_path.read_text())
         done = [
@@ -105,9 +103,9 @@ class TestGracefulInterrupt:
             if entry["status"] == "done"
         ]
         assert done
-        # ... and --resume finishes the rest, re-running none of the
-        # committed cells.
-        proc = self._popen_sweep(tmp_path, "--resume")
+        # ... and the same command finishes the rest, re-running none of
+        # the committed cells.
+        proc = self._popen_sweep(tmp_path)
         out, _ = proc.communicate(timeout=600)
         assert proc.returncode == 0, out
         cells = _manifest_cells(_runner(tmp_path))

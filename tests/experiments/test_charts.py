@@ -1,34 +1,6 @@
 """Tests for the ASCII chart renderers."""
 
-from repro.experiments.charts import bar_chart, grouped_bar_chart, scatter_plot
-
-
-class TestBarChart:
-    def test_bars_scale_with_values(self):
-        text = bar_chart([("a", 1.0), ("b", 2.0)], width=10)
-        bar_a = text.splitlines()[0].count("#")
-        bar_b = text.splitlines()[1].count("#")
-        assert bar_b == 2 * bar_a == 10
-
-    def test_empty(self):
-        assert bar_chart([], title="T") == "T"
-
-    def test_values_printed(self):
-        assert "2.00x" in bar_chart([("a", 2.0)], unit="x")
-
-
-class TestGroupedBarChart:
-    def test_groups_labeled(self):
-        text = grouped_bar_chart(
-            {"g1": [("a", 1.0)], "g2": [("b", 0.5)]}, title="T"
-        )
-        assert "[g1]" in text and "[g2]" in text
-        assert text.splitlines()[0] == "T"
-
-    def test_shared_scale(self):
-        text = grouped_bar_chart({"g1": [("a", 1.0)], "g2": [("b", 2.0)]}, width=8)
-        lines = [l for l in text.splitlines() if "#" in l]
-        assert lines[1].count("#") == 2 * lines[0].count("#")
+from repro.experiments.charts import scatter_plot
 
 
 class TestScatterPlot:

@@ -1,12 +1,13 @@
 """Tests for the experiments CLI."""
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.experiments import claims, multicore
 from repro.experiments.__main__ import FIGURES, main
-from repro.experiments.diskcache import DiskCellCache
+from repro.sim.engine import SimulationEngine
 
 
 def _usage_error(capsys, argv) -> str:
@@ -78,37 +79,9 @@ class TestCli:
         err = _usage_error(capsys, ["hw", "--inject-fault", "cell=explode"])
         assert "unknown fault kind" in err
 
-    def test_resume_without_a_manifest_location_rejected(self, capsys, monkeypatch):
-        # No --manifest, no --cache-dir, no $RNR_CACHE_DIR: nothing to
-        # resume from and nowhere to record progress.
-        monkeypatch.delenv(DiskCellCache.ENV, raising=False)
-        err = _usage_error(capsys, ["fig13", "--scale", "test", "--resume"])
-        assert "--resume" in err.strip().splitlines()[-1]
-
     def test_bad_cell_timeout_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig13", "--cell-timeout", "-3"])
-
-    def test_future_manifest_schema_exits_2(self, tmp_path, capsys):
-        import json
-
-        from repro.experiments import supervise
-
-        manifest = tmp_path / "sweep-manifest.json"
-        manifest.write_text(json.dumps({
-            "format": supervise.MANIFEST_FORMAT,
-            "schema_version": supervise.MANIFEST_SCHEMA_VERSION + 7,
-            "fingerprint": "whatever",
-            "cells": {},
-        }))
-        code = main([
-            "fig01", "--scale", "test", "--resume",
-            "--cache-dir", str(tmp_path / "cells"),
-            "--manifest", str(manifest),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "schema" in err and "upgrade" in err
 
 
 class TestChaos:
@@ -144,12 +117,29 @@ class TestChaos:
 
 
 class TestSupervisedCliFlow:
-    def test_resume_skips_done_cells(self, tmp_path, capsys):
-        manifest = tmp_path / "manifest.json"
-        args = ["fig13", "--scale", "test", "--jobs", "2", "--manifest", str(manifest)]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert manifest.exists()
-        assert main(args + ["--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "0 simulated" in out or "12 resumed" in out
+    def test_resume_skips_done_cells(self, tmp_path, capsys, monkeypatch):
+        """Figure cells are simulated only inside the supervised sweep, with
+        any worker count: a re-run with the same cell cache finds every
+        cell warm, and the CLI process itself simulates none."""
+        pid, calls = os.getpid(), []
+        run = SimulationEngine.run
+
+        def counted(self, *args, **kwargs):
+            if os.getpid() == pid:  # forked sweep workers inherit the patch
+                calls.append(args)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationEngine, "run", counted)
+        cells = ["fig13", "--scale", "test", "--cache-dir", str(tmp_path / "cells")]
+        # Telemetry bypasses the cache's read side, so its re-run simulates
+        # every cell again, in the sweep.
+        telemetry = ["--jobs", "2", "--telemetry-dir", str(tmp_path / "tel")]
+        for args, second in (
+            (cells + ["--jobs", "1"], "sweep: 0 simulated, 12 warm"),
+            (cells + telemetry, "sweep: 12 simulated, 0 warm"),
+        ):
+            for _ in range(2):
+                assert main(args) == 0
+                out = capsys.readouterr().out
+                assert calls == []
+            assert second in out

@@ -1,10 +1,8 @@
-"""Graceful interrupt and manifest-damage recovery for supervised sweeps.
+"""Graceful interrupt and resume for supervised sweeps.
 
 A sweep killed mid-flight must drain cleanly — workers reaped, manifest
-flushed as valid JSON, distinct exit status — and ``--resume`` must pick
-up exactly where it stopped.  A manifest damaged harder than that
-(truncated mid-write by a power cut) must be reported and discarded, not
-crash the resume.
+flushed as valid JSON, distinct exit status — and a re-run with the same
+cell cache must pick up exactly where it stopped.
 """
 
 import json
@@ -24,11 +22,9 @@ from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import (
     INTERRUPT_EXIT_STATUS,
     MANIFEST_NAME,
-    RetryPolicy,
     SweepManifest,
     cell_id,
     run_supervised_sweep,
-    runner_fingerprint,
 )
 
 SPECS = [
@@ -37,8 +33,6 @@ SPECS = [
     CellSpec("pagerank", "amazon", "baseline"),
     CellSpec("spcg", "bbmat", "baseline"),
 ]
-
-FAST = RetryPolicy(retries=1, backoff=0.01, jitter=0.0)
 
 
 def _cached_runner(tmp_path):
@@ -50,79 +44,25 @@ def _cached_runner(tmp_path):
 class TestResume:
     def test_partial_sweep_resumes_without_rebuilds(self, tmp_path):
         # Phase 1: half the matrix commits (simulating a killed sweep
-        # whose manifest and caches survived).
-        run_supervised_sweep(_cached_runner(tmp_path), SPECS[:2], jobs=2, policy=FAST)
-        # Phase 2: the full matrix resumes — only the missing half runs.
+        # whose caches survived).
+        run_supervised_sweep(_cached_runner(tmp_path), SPECS[:2], jobs=2)
+        # Phase 2: the full matrix re-runs — only the missing half runs.
         second = _cached_runner(tmp_path)
-        report = run_supervised_sweep(second, SPECS, jobs=2, policy=FAST, resume=True)
+        report = run_supervised_sweep(second, SPECS, jobs=2)
         assert report.simulated == 2
-        assert report.skipped + report.resumed == 2
+        assert report.skipped == 2
         assert not report.failures
         # Zero rebuilt cached cells: nothing already on disk was redone.
         assert report.cell_cache["stores"] == 2
-        manifest = SweepManifest.load(
-            second.cache.root / MANIFEST_NAME, runner_fingerprint(second)
-        )
+        # The manifest keeps the first run's cells beside the second's.
+        manifest = SweepManifest.load(second.cache.root / MANIFEST_NAME)
         assert sorted(manifest.cells) == sorted(cell_id(s) for s in SPECS)
-
-
-class TestTruncatedManifest:
-    def _complete_sweep(self, tmp_path):
-        manifest_path = tmp_path / "manifest.json"
-        runner = ExperimentRunner(scale="test", cache_dir=tmp_path / "cache1")
-        report = run_supervised_sweep(
-            runner, SPECS, jobs=1, policy=FAST, manifest_path=manifest_path
-        )
-        assert report.simulated == len(SPECS)
-        return manifest_path
-
-    def test_resume_against_truncated_manifest_restarts_cells(self, tmp_path):
-        manifest_path = self._complete_sweep(tmp_path)
-        # Cut the file mid-JSON, as a crash mid-write (without the atomic
-        # replace) or a torn copy would.
-        text = manifest_path.read_text()
-        manifest_path.write_text(text[: len(text) // 2])
-        runner = ExperimentRunner(scale="test", cache_dir=tmp_path / "cache2")
-        report = run_supervised_sweep(
-            runner,
-            SPECS,
-            jobs=1,
-            policy=FAST,
-            manifest_path=manifest_path,
-            resume=True,
-        )
-        # Corruption is surfaced, progress discarded, every cell re-run —
-        # and nothing raised.
-        assert report.manifest_corrupt
-        assert "manifest was corrupt" in report.render()
-        assert report.resumed == 0
-        assert report.simulated == len(SPECS)
-        assert not report.failures
-        # The rewritten manifest is whole again.
-        payload = json.loads(manifest_path.read_text())
-        assert len(payload["cells"]) == len(SPECS)
-
-    def test_resume_against_binary_garbage_restarts_cells(self, tmp_path):
-        manifest_path = self._complete_sweep(tmp_path)
-        manifest_path.write_bytes(b"\x00\xff\x13garbage")
-        runner = ExperimentRunner(scale="test", cache_dir=tmp_path / "cache2")
-        report = run_supervised_sweep(
-            runner,
-            SPECS,
-            jobs=1,
-            policy=FAST,
-            manifest_path=manifest_path,
-            resume=True,
-        )
-        assert report.manifest_corrupt
-        assert report.simulated == len(SPECS)
-        assert not report.failures
 
 
 class TestInterruptedSweepCLI:
     """Kill `repro.experiments` mid-sweep; it must drain and resume."""
 
-    def _popen(self, tmp_path, *extra):
+    def _popen(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(Path(__file__).resolve().parents[2] / "src"),
@@ -135,8 +75,6 @@ class TestInterruptedSweepCLI:
                 "--jobs", "2",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--trace-store", str(tmp_path / "store"),
-                "--manifest", str(tmp_path / "manifest.json"),
-                *extra,
             ],
             env=env,
             stdout=subprocess.PIPE,
@@ -166,7 +104,7 @@ class TestInterruptedSweepCLI:
         pytest.fail("no cell committed within the deadline")
 
     def test_sigterm_exits_130_and_resume_completes(self, tmp_path):
-        manifest_path = tmp_path / "manifest.json"
+        manifest_path = tmp_path / "cache" / MANIFEST_NAME
         proc = self._popen(tmp_path)
         try:
             self._wait_for_done_cell(proc, manifest_path)
@@ -178,7 +116,10 @@ class TestInterruptedSweepCLI:
                 proc.communicate()
         assert proc.returncode == INTERRUPT_EXIT_STATUS, out
         assert "sweep interrupted" in out
-        assert f"manifest flushed to {manifest_path}: --resume continues it" in out
+        assert (
+            f"manifest flushed to {manifest_path}: re-running with the same "
+            "--cache-dir continues it" in out
+        )
         # The drain left a valid manifest with real progress, and no
         # orphaned worker processes holding the caches open.
         payload = json.loads(manifest_path.read_text())
@@ -188,8 +129,9 @@ class TestInterruptedSweepCLI:
             if entry["status"] == "done"
         }
         assert done
-        # --resume finishes the matrix without re-running the done cells.
-        proc = self._popen(tmp_path, "--resume")
+        # The same command finishes the matrix without re-running the done
+        # cells.
+        proc = self._popen(tmp_path)
         out, _ = proc.communicate(timeout=600)
         assert proc.returncode == 0, out
         final = json.loads(manifest_path.read_text())
@@ -198,13 +140,14 @@ class TestInterruptedSweepCLI:
         )
         assert all(final["cells"][cell] == payload["cells"][cell] for cell in done)
         # Cells committed before the interrupt come back warm from the
-        # disk cache (or resumed from the manifest) — never re-simulated.
+        # disk cache — never re-simulated.
         total = len(final["cells"])
         assert f"sweep: {total - len(done)} simulated" in out
 
 
 class TestInterruptHint:
-    """The CLI offers ``--resume`` only when the drain flushed a manifest."""
+    """The CLI offers the re-run hint only when a cell cache holds the
+    finished cells."""
 
     def _interrupted(self, monkeypatch, capsys, *flags):
         def stopped(runner, specs, **kwargs):
@@ -218,9 +161,13 @@ class TestInterruptHint:
         monkeypatch.delenv(DiskCellCache.ENV, raising=False)
         out = self._interrupted(monkeypatch, capsys)
         assert "sweep interrupted" in out
-        assert "--resume" not in out
+        assert "manifest flushed" not in out
+        assert "continues it" not in out
 
     def test_flushed_manifest_gets_resume_hint(self, tmp_path, monkeypatch, capsys):
-        manifest_path = tmp_path / "m.json"
-        out = self._interrupted(monkeypatch, capsys, "--manifest", str(manifest_path))
-        assert f"manifest flushed to {manifest_path}: --resume continues it" in out
+        cache_dir = tmp_path / "cells"
+        out = self._interrupted(monkeypatch, capsys, "--cache-dir", str(cache_dir))
+        assert (
+            f"manifest flushed to {cache_dir / MANIFEST_NAME}: re-running with "
+            "the same --cache-dir continues it" in out
+        )

@@ -1,5 +1,5 @@
 """Fault-tolerant sweep supervision: timeouts, retries, crash isolation,
-manifest checkpointing, and resume."""
+the per-cell manifest, and resume from the cell cache."""
 
 import json
 import os
@@ -20,7 +20,6 @@ from repro.experiments.supervise import (
     pick_cell,
     resolve_cell_timeout,
     run_supervised_sweep,
-    runner_fingerprint,
 )
 from repro.rnr.replayer import ControlMode
 
@@ -31,9 +30,7 @@ SPECS = [
     CellSpec("spcg", "bbmat", "baseline"),
 ]
 
-#: Fast backoff so retry tests finish in milliseconds.
-FAST = dict(backoff=0.01, backoff_max=0.02, jitter=0.0)
-ONE_RETRY = RetryPolicy(retries=1, **FAST)
+ONE_RETRY = RetryPolicy(retries=1)
 
 
 def _runner():
@@ -49,8 +46,11 @@ def _cached_runner(tmp_path, **kwargs):
 
 
 def _manifest_cells(runner):
-    path = runner.cache.root / MANIFEST_NAME
-    return SweepManifest.load(path, runner_fingerprint(runner)).cells
+    return SweepManifest.load(runner.cache.root / MANIFEST_NAME).cells
+
+
+def _with_status(cells, status):
+    return {cell for cell, entry in cells.items() if entry["status"] == status}
 
 
 class TestCellId:
@@ -94,16 +94,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
 
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(retries=5, backoff=0.1, backoff_max=0.3, jitter=0.0)
-        delays = [policy.delay(attempt) for attempt in (2, 3, 4, 5)]
-        assert delays == pytest.approx([0.1, 0.2, 0.3, 0.3])
-
-    def test_jitter_bounded(self):
-        policy = RetryPolicy(backoff=0.1, jitter=0.5)
-        for _ in range(50):
-            assert 0.1 <= policy.delay(2) <= 0.15
-
 
 class TestClassify:
     def test_cache_corruption(self):
@@ -138,7 +128,7 @@ class TestSweepReport:
         )
         lines = report.render().splitlines()
         assert lines == [
-            "sweep: 4 simulated, 0 warm, 0 resumed, 0 retries, 0 failed in 10.0s",
+            "sweep: 4 simulated, 0 warm, 0 retries, 0 failed in 10.0s",
             "slowest cells: a/x/rnr 6.0s, b/y/baseline 5.0s, b/y/rnr 4.0s; "
             "workers 80% busy",
         ]
@@ -214,95 +204,35 @@ class TestCellDispatch:
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
-        manifest = SweepManifest(path, fingerprint="abc")
+        manifest = SweepManifest(path)
         manifest.mark_done("a/x/rnr", attempts=1, duration=0.5)
         manifest.mark_failed("b/y/rnr", "crash", "died", attempts=2, duration=1.0)
         manifest.save()
 
-        loaded = SweepManifest.load(path, "abc")
-        assert loaded.done_cells() == {"a/x/rnr"}
-        assert loaded.failed_cells() == {"b/y/rnr"}
+        loaded = SweepManifest.load(path)
+        assert loaded.cells == manifest.cells
+        assert _with_status(loaded.cells, "done") == {"a/x/rnr"}
+        assert _with_status(loaded.cells, "failed") == {"b/y/rnr"}
         assert loaded.cells["b/y/rnr"]["kind"] == "crash"
-
-    def test_fingerprint_mismatch_starts_fresh(self, tmp_path):
-        path = tmp_path / "m.json"
-        manifest = SweepManifest(path, fingerprint="abc")
-        manifest.mark_done("a/x/rnr", 1, 0.1)
-        manifest.save()
-        assert SweepManifest.load(path, "other").cells == {}
 
     def test_garbage_file_starts_fresh(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text("{not json")
-        assert SweepManifest.load(path, "abc").cells == {}
+        assert SweepManifest.load(path).cells == {}  # missing
+        # Cut mid-JSON, undecodable bytes, JSON that is not a manifest.
+        for garbage in (b'{"cells": {"a/b/c": {"st', b"\x00\xff\x13garbage", b"[1]"):
+            path.write_bytes(garbage)
+            assert SweepManifest.load(path).cells == {}
 
     def test_save_is_atomic(self, tmp_path):
         path = tmp_path / "m.json"
-        manifest = SweepManifest(path, "abc")
+        manifest = SweepManifest(path)
         manifest.mark_done("a", 1, 0.1)
         manifest.save()
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert leftovers == []
-        assert json.loads(path.read_text())["format"] == supervise.MANIFEST_FORMAT
-
-    def test_save_stamps_schema_version(self, tmp_path):
-        path = tmp_path / "m.json"
-        manifest = SweepManifest(path, "abc")
-        manifest.save()
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == supervise.MANIFEST_SCHEMA_VERSION
-        assert SweepManifest.load(path, "abc").cells == {}
-
-    def test_legacy_manifest_without_schema_version_loads(self, tmp_path):
-        # PR-7-era manifests carry only "format": 1; they map to schema 1.
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "format": supervise.MANIFEST_FORMAT,
-            "fingerprint": "abc",
-            "cells": {"a/x/rnr": {"status": "done", "attempts": 1,
-                                  "duration": 0.1}},
-        }))
-        loaded = SweepManifest.load(path, "abc")
-        assert loaded.done_cells() == {"a/x/rnr"}
-
-    def test_unknown_schema_version_is_rejected(self, tmp_path):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({
-            "format": supervise.MANIFEST_FORMAT,
-            "schema_version": supervise.MANIFEST_SCHEMA_VERSION + 1,
-            "fingerprint": "abc",
-            "cells": {},
-        }))
-        with pytest.raises(supervise.ManifestVersionError, match="newer release"):
-            SweepManifest.load(path, "abc")
-
-    def test_missing_schema_and_format_is_rejected(self, tmp_path):
-        # A manifest that names neither key is from an unknowable future
-        # (or another tool entirely): refuse rather than guess.
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps({"fingerprint": "abc", "cells": {}}))
-        with pytest.raises(supervise.ManifestVersionError):
-            SweepManifest.load(path, "abc")
-
-    def test_save_records_engine_backend(self, tmp_path, monkeypatch):
-        # The manifest names the backend that produced its cells, so the
-        # field must follow RNR_ENGINE (the CLI exports --engine there).
-        from repro.sim.backend import ENGINE_ENV
-
-        path = tmp_path / "m.json"
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        SweepManifest(path, "abc").save()
-        assert json.loads(path.read_text())["engine"] == "fast"
-        monkeypatch.setenv(ENGINE_ENV, "straight")
-        SweepManifest(path, "abc").save()
-        assert json.loads(path.read_text())["engine"] == "straight"
-
-    def test_fingerprint_tracks_runner_identity(self):
-        a = runner_fingerprint(ExperimentRunner(scale="test"))
-        b = runner_fingerprint(ExperimentRunner(scale="test"))
-        c = runner_fingerprint(ExperimentRunner(scale="test", seed=1))
-        assert a == b
-        assert a != c
+        assert json.loads(path.read_text()) == {
+            "cells": {"a": {"status": "done", "attempts": 1, "duration_s": 0.1}}
+        }
 
 
 class TestHappyPath:
@@ -344,25 +274,23 @@ class TestHappyPath:
     def test_second_sweep_is_fully_warm(self, tmp_path):
         run_supervised_sweep(_cached_runner(tmp_path), SPECS, jobs=2, policy=ONE_RETRY)
         report = run_supervised_sweep(
-            _cached_runner(tmp_path), SPECS, jobs=2, policy=ONE_RETRY, resume=True
+            _cached_runner(tmp_path), SPECS, jobs=2, policy=ONE_RETRY
         )
-        # Nothing simulated, nothing rebuilt: warm cache + manifest.
+        # Nothing simulated, nothing rebuilt: every cell is warm on disk.
         assert report.simulated == 0
-        assert report.skipped + report.resumed == len(SPECS)
+        assert report.skipped == len(SPECS)
         assert report.cell_cache["stores"] == 0
         assert report.trace_store["builds"] == 0
 
 
 class TestFaultIsolation:
     def test_raising_cell_fails_fast_rest_completes(self, tmp_path):
-        runner = _runner()
-        manifest_path = tmp_path / "manifest.json"
+        runner = _cached_runner(tmp_path)
         report = run_supervised_sweep(
             runner,
             SPECS,
             jobs=2,
-            policy=RetryPolicy(retries=2, **FAST),
-            manifest_path=manifest_path,
+            policy=RetryPolicy(retries=2),
             faults={"pagerank/urand/nextline": ("raise", None)},
         )
         assert [f.cell for f in report.failures] == ["pagerank/urand/nextline"]
@@ -375,9 +303,9 @@ class TestFaultIsolation:
         assert report.simulated == len(SPECS) - 1
         for spec in SPECS[:1] + SPECS[2:]:
             assert runner.run_spec(spec) is not None
-        manifest = SweepManifest.load(manifest_path)
-        assert manifest.failed_cells() == {"pagerank/urand/nextline"}
-        assert len(manifest.done_cells()) == len(SPECS) - 1
+        cells = _manifest_cells(runner)
+        assert _with_status(cells, "failed") == {"pagerank/urand/nextline"}
+        assert len(_with_status(cells, "done")) == len(SPECS) - 1
 
     def test_cache_corruption_is_transient(self):
         runner = _runner()
@@ -385,7 +313,7 @@ class TestFaultIsolation:
             runner,
             SPECS[:2],
             jobs=1,
-            policy=RetryPolicy(retries=1, **FAST),
+            policy=RetryPolicy(retries=1),
             faults={"pagerank/urand/nextline": ("cache", 1)},
         )
         # First attempt corrupts, the retry succeeds.
@@ -466,17 +394,16 @@ class TestFaultIsolation:
     def test_crash_and_hang_isolated_then_resumed(self, tmp_path):
         """The acceptance scenario: one crashing cell, one hanging cell;
         every other cell finishes, both faults follow the retry policy, the
-        manifest records everything, and resume re-runs only the failure."""
-        runner = _runner()
-        manifest_path = tmp_path / "manifest.json"
-        policy = RetryPolicy(retries=1, **FAST)
+        manifest records everything, and a re-run against the same cell
+        cache simulates only the failure."""
+        runner = ExperimentRunner(scale="test", cache_dir=tmp_path / "cache")
+        policy = RetryPolicy(retries=1)
         report = run_supervised_sweep(
             runner,
             SPECS,
             jobs=2,
             cell_timeout=0.75,
             policy=policy,
-            manifest_path=manifest_path,
             faults={
                 # Unbounded: crashes on every attempt -> permanent failure.
                 "pagerank/urand/nextline": ("crash", None),
@@ -496,27 +423,20 @@ class TestFaultIsolation:
             assert runner.run_spec(spec) is not None
         assert runner.failed_cells  # the crash cell is marked on the runner
 
-        manifest = SweepManifest.load(manifest_path)
-        assert manifest.failed_cells() == {"pagerank/urand/nextline"}
-        assert manifest.cells["spcg/bbmat/baseline"]["status"] == "done"
-        assert manifest.cells["spcg/bbmat/baseline"]["attempts"] == 2
+        cells = _manifest_cells(runner)
+        assert _with_status(cells, "failed") == {"pagerank/urand/nextline"}
+        assert cells["spcg/bbmat/baseline"]["status"] == "done"
+        assert cells["spcg/bbmat/baseline"]["attempts"] == 2
 
-        # Resume with the fault gone: only the failed cell is re-run.
-        resumed = _runner()
-        second = run_supervised_sweep(
-            resumed,
-            SPECS,
-            jobs=2,
-            policy=policy,
-            manifest_path=manifest_path,
-            resume=True,
-        )
+        # Re-run with the fault gone: only the failed cell is simulated.
+        rerun = ExperimentRunner(scale="test", cache_dir=tmp_path / "cache")
+        second = run_supervised_sweep(rerun, SPECS, jobs=2, policy=policy)
         assert second.ok
         assert second.simulated == 1
-        assert second.resumed == len(SPECS) - 1
-        manifest = SweepManifest.load(manifest_path)
-        assert manifest.failed_cells() == frozenset()
-        assert len(manifest.done_cells()) == len(SPECS)
+        assert second.skipped == len(SPECS) - 1
+        cells = _manifest_cells(rerun)
+        assert _with_status(cells, "failed") == set()
+        assert len(_with_status(cells, "done")) == len(SPECS)
 
     def test_timeout_kills_hung_worker(self):
         runner = _runner()
@@ -525,7 +445,7 @@ class TestFaultIsolation:
             SPECS[:1],
             jobs=1,
             cell_timeout=0.5,
-            policy=RetryPolicy(retries=0, **FAST),
+            policy=RetryPolicy(retries=0),
             faults={"pagerank/urand/baseline": ("hang", None)},
         )
         assert [f.kind for f in report.failures] == [FailureKind.TIMEOUT]
@@ -534,14 +454,12 @@ class TestFaultIsolation:
     def test_killed_worker_keeps_finished_results(self, tmp_path):
         """A worker dying on one cell must not discard the cells it already
         finished, and the sweep must go on to finish the rest."""
-        runner = _runner()
-        manifest_path = tmp_path / "manifest.json"
+        runner = _cached_runner(tmp_path)
         report = run_supervised_sweep(
             runner,
             SPECS,
             jobs=1,  # one worker runs the (app, input) pair's cells in turn
-            policy=RetryPolicy(retries=0, **FAST),
-            manifest_path=manifest_path,
+            policy=RetryPolicy(retries=0),
             faults={"pagerank/urand/nextline": ("crash", None)},
         )
         # baseline ran on the same worker before the crash and must be kept.
@@ -549,43 +467,7 @@ class TestFaultIsolation:
         assert key in runner._results
         assert report.simulated == len(SPECS) - 1
         assert [f.cell for f in report.failures] == ["pagerank/urand/nextline"]
-        manifest = SweepManifest.load(manifest_path)
-        assert "pagerank/urand/baseline" in manifest.done_cells()
-
-
-class TestResumeGuards:
-    def test_resume_ignores_foreign_fingerprint(self, tmp_path):
-        manifest_path = tmp_path / "manifest.json"
-        foreign = SweepManifest(manifest_path, fingerprint="somebody-else")
-        for spec in SPECS:
-            foreign.mark_done(cell_id(spec), 1, 0.1)
-        foreign.save()
-
-        runner = _runner()
-        report = run_supervised_sweep(
-            runner, SPECS, jobs=2, manifest_path=manifest_path, resume=True
-        )
-        # Different identity: nothing may be skipped.
-        assert report.resumed == 0
-        assert report.simulated == len(SPECS)
-
-    def test_no_manifest_means_no_resume(self):
-        runner = _runner()
-        report = run_supervised_sweep(runner, SPECS[:1], jobs=1, resume=True)
-        assert report.resumed == 0
-        assert report.simulated == 1
-
-    def test_manifest_done_cells_skipped(self, tmp_path):
-        runner = _runner()
-        path = tmp_path / "m.json"
-        manifest = SweepManifest(path, runner_fingerprint(runner))
-        manifest.mark_done(cell_id(SPECS[0]), attempts=1, duration=1.0)
-        manifest.save()
-        report = run_supervised_sweep(
-            runner, SPECS[:2], jobs=1, policy=ONE_RETRY, manifest_path=path, resume=True
-        )
-        assert report.resumed == 1
-        assert report.simulated == 1
+        assert "pagerank/urand/baseline" in _with_status(_manifest_cells(runner), "done")
 
 
 class TestTelemetry:

@@ -1,9 +1,9 @@
 """Content-addressed trace store: keys, counters, degradation, sweeps.
 
-The acceptance bar for the tentpole: a second sweep against a warm store
-performs **zero** trace rebuilds — including under ``--resume`` and
-supervised retries — and the store's counters in the sweep report prove
-it.  Corrupt entries must degrade to a counted rebuild, never a crash.
+The acceptance bar: a second sweep against a warm store performs
+**zero** trace rebuilds — including under supervised retries and a re-run
+that resumes from the cell cache — and the store's counters in the sweep
+report prove it.  Corrupt entries must degrade to a counted rebuild, never a crash.
 """
 
 import pytest
@@ -21,9 +21,6 @@ SPECS = [
     CellSpec("pagerank", "urand", "rnr"),
     CellSpec("spcg", "bbmat", "baseline"),
 ]
-
-#: Fast backoff so retry tests finish in milliseconds.
-FAST = dict(backoff=0.01, backoff_max=0.02, jitter=0.0)
 
 BASE_KEY = dict(
     app="pagerank",
@@ -187,22 +184,26 @@ class TestSupervisedSweep:
     def test_zero_builds_under_resume_and_retries(self, tmp_path):
         """Warm-store guarantee holds for the hard paths: against a warm
         store, a sweep with a crashing cell (exercising the retry loop)
-        and the --resume pass that re-runs only the failure both perform
-        zero rebuilds — every re-run maps the stored trace."""
+        and the re-run against the same cell cache, which simulates only
+        the failure, both perform zero rebuilds — every re-run maps the
+        stored trace."""
         store_dir = tmp_path / "store"
         warmup = _runner(store_dir)
         run_supervised_sweep(warmup, SPECS, jobs=2)
         assert warmup.trace_store.builds > 0
 
-        manifest = tmp_path / "manifest.json"
-        policy = RetryPolicy(retries=1, **FAST)
-        crashing = _runner(store_dir)
+        def cached_runner():
+            return ExperimentRunner(
+                scale="test", cache_dir=tmp_path / "cells", trace_store=store_dir
+            )
+
+        policy = RetryPolicy(retries=1)
+        crashing = cached_runner()
         report = run_supervised_sweep(
             crashing,
             SPECS,
             jobs=2,
             policy=policy,
-            manifest_path=manifest,
             faults={"pagerank/urand/rnr": ("crash", None)},
         )
         assert [f.cell for f in report.failures] == ["pagerank/urand/rnr"]
@@ -211,15 +212,7 @@ class TestSupervisedSweep:
         assert report.trace_store["builds"] == 0
         assert report.trace_store["hits"] > 0
 
-        resumed = _runner(store_dir)
-        second = run_supervised_sweep(
-            resumed,
-            SPECS,
-            jobs=2,
-            policy=policy,
-            manifest_path=manifest,
-            resume=True,
-        )
+        second = run_supervised_sweep(cached_runner(), SPECS, jobs=2, policy=policy)
         assert second.ok
         assert second.simulated == 1  # only the crashed cell re-ran
         assert second.trace_store["builds"] == 0
@@ -237,7 +230,7 @@ class TestSupervisedSweep:
             runner,
             SPECS,
             jobs=1,
-            policy=RetryPolicy(retries=1, **FAST),
+            policy=RetryPolicy(retries=1),
             faults={"pagerank/urand/rnr": ("crash", 1)},
         )
         assert report.ok
