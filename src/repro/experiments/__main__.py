@@ -15,15 +15,15 @@ exit 1.
 
 Every requested figure's cells are simulated by a supervised sweep
 (:mod:`repro.experiments.supervise`) across ``--jobs N`` worker processes
-(default: the ``RNR_JOBS`` environment variable, else the number of CPUs
-this process may run on); the reports then render serially from the warm
-memo.  ``--cache-dir DIR`` (default: ``RNR_CACHE_DIR``) persists finished
-cells on disk across invocations, so re-running with the same cache
-simulates only the cells that are missing.  ``--trace-store DIR``
-(default: ``RNR_TRACE_STORE``) persists the recorded workload traces
-themselves: a sweep builds each trace at most once ever and every worker
-``mmap``-loads the packed binary file instead of rebuilding the stream in
-Python.
+(default: the number of CPUs this process may run on); the reports then
+render serially from the warm memo.  ``--cache-dir DIR`` persists
+finished cells on disk across invocations, so re-running with the same
+cache simulates only the cells that are missing.  ``--trace-store DIR``
+persists the recorded workload traces themselves: a sweep builds each
+trace at most once ever and every worker ``mmap``-loads the packed binary
+file instead of rebuilding the stream in Python.  The arguments are the
+run's whole configuration; only ``--engine`` falls back to an environment
+variable (``RNR_ENGINE``).
 
 ``--cell-timeout`` bounds each cell's wall clock and ``--retries`` re-runs
 transiently failed cells.  By default (``--strict``) any permanently
@@ -60,11 +60,10 @@ from repro.experiments import (
     record_overhead,
     supervise,
 )
-from repro.experiments.diskcache import DiskCellCache
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.backend import ENGINE_BACKENDS, ENGINE_ENV, resolve_engine_backend
-from repro.telemetry import config as telemetry_config
-from repro.trace.store import TraceStore, ensure_writable
+from repro.telemetry.config import DEFAULT_SAMPLE_INTERVAL, TelemetryConfig
+from repro.trace.store import ensure_writable
 
 FIGURES = {
     "fig01": fig01_scatter,
@@ -85,16 +84,15 @@ FIGURES = {
 }
 
 
-def _store_root(parser, flag: str, value, store_cls):
-    """The writable root named by ``flag`` (else by the store's environment
-    variable), or None; a bad root is a usage error naming its source."""
-    root = value or store_cls.default_root()
-    if not root:
+def _store_root(parser, flag: str, value):
+    """The writable root named by ``flag``, or None when the flag is not
+    given; a bad root is a usage error naming the flag."""
+    if not value:
         return None
     try:
-        return ensure_writable(root)
+        return ensure_writable(value)
     except ValueError as exc:
-        parser.error(f"{flag if value else '$' + store_cls.ENV}: {exc}")
+        parser.error(f"{flag}: {exc}")
 
 
 def main(argv=None) -> int:
@@ -109,7 +107,7 @@ def main(argv=None) -> int:
         help=f"figures to run (default: all). Known: {', '.join(FIGURES)}",
     )
     parser.add_argument("--scale", default="bench", choices=("bench", "test"))
-    parser.add_argument("--window", type=int, default=16, help="RnR window size")
+    parser.add_argument("--window", type=int, default=16, help="RnR window size (>= 1)")
     parser.add_argument(
         "--engine",
         default=None,
@@ -122,29 +120,27 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for the sweep (default: $RNR_JOBS, else usable CPUs)",
+        help="worker processes for the sweep (default: usable CPUs)",
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="persistent cell cache directory (default: $RNR_CACHE_DIR, else off)",
+        help="persistent cell cache directory (default: off)",
     )
     parser.add_argument(
         "--trace-store",
         default=None,
         metavar="DIR",
         help="content-addressed binary trace store: each workload trace is "
-        "built at most once and mmap'd by every worker "
-        "(default: $RNR_TRACE_STORE, else off)",
+        "built at most once and mmap'd by every worker (default: off)",
     )
     parser.add_argument(
         "--cell-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill any cell running longer than this "
-        "(default: $RNR_CELL_TIMEOUT, else unlimited)",
+        help="kill any cell running longer than this (default: unlimited)",
     )
     parser.add_argument(
         "--retries",
@@ -174,29 +170,28 @@ def main(argv=None) -> int:
         default=[],
         metavar="CELL=KIND[:N]",
         help="chaos testing: fault the named cell (kinds: "
-        f"{', '.join(faults_mod.FAULT_KINDS)}; also $RNR_FAULTS)",
+        f"{', '.join(faults_mod.FAULT_KINDS)})",
     )
     parser.add_argument(
         "--telemetry-dir",
         default=None,
         metavar="DIR",
         help="write per-cell telemetry (events, time series, summaries) "
-        "under DIR (default: $RNR_TELEMETRY, else off)",
+        "under DIR (default: off)",
     )
     parser.add_argument(
         "--sample-interval",
         type=int,
-        default=None,
+        default=DEFAULT_SAMPLE_INTERVAL,
         metavar="CYCLES",
-        help="cycles between time-series samples "
-        f"(default: $RNR_SAMPLE_INTERVAL, else {telemetry_config.DEFAULT_SAMPLE_INTERVAL})",
+        help="cycles between time-series samples, with --telemetry-dir "
+        f"(default: {DEFAULT_SAMPLE_INTERVAL})",
     )
     parser.add_argument(
         "--trace-events",
         action="store_true",
-        default=None,
-        help="also export Chrome trace_event files loadable in "
-        "chrome://tracing (default: $RNR_TRACE_EVENTS)",
+        help="with --telemetry-dir, also export Chrome trace_event files "
+        "loadable in chrome://tracing",
     )
     args = parser.parse_args(argv)
 
@@ -204,22 +199,23 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in FIGURES]
     if unknown:
         parser.error(f"unknown figures: {', '.join(unknown)}")
+    if args.window < 1:
+        parser.error(f"--window must be >= 1, got {args.window}")
 
-    cache_dir = _store_root(parser, "--cache-dir", args.cache_dir, DiskCellCache)
-    trace_store_dir = _store_root(parser, "--trace-store", args.trace_store, TraceStore)
+    cache_dir = _store_root(parser, "--cache-dir", args.cache_dir)
+    trace_store_dir = _store_root(parser, "--trace-store", args.trace_store)
 
     try:
-        faults = faults_mod.faults_from_env()
-        faults.update(faults_mod.parse_faults(args.inject_fault))
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
+        faults = faults_mod.parse_faults(args.inject_fault)
         engine_backend = resolve_engine_backend(args.engine)
         cell_timeout = supervise.resolve_cell_timeout(args.cell_timeout)
         jobs = supervise.resolve_jobs(args.jobs)
         policy = supervise.RetryPolicy(retries=args.retries)
-        telemetry = telemetry_config.resolve_config(
-            args.telemetry_dir, args.sample_interval, args.trace_events
+        # Without --telemetry-dir the other telemetry flags are ignored.
+        telemetry = (
+            TelemetryConfig(args.telemetry_dir, args.sample_interval, args.trace_events)
+            if args.telemetry_dir
+            else None
         )
     except ValueError as exc:
         parser.error(str(exc))

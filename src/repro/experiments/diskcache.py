@@ -19,10 +19,9 @@ framed header (magic, CRC32, payload length) that is verified before
 unpickling, so a truncated or bit-flipped file, not just garbage bytes,
 is detected deterministically.
 
-Enable it by passing ``cache_dir=`` to ``ExperimentRunner`` or by setting
-the ``RNR_CACHE_DIR`` environment variable (the CLI's ``--cache-dir`` flag
-does the former).  Inspect it with :meth:`DiskCellCache.describe`; empty
-it with ``rm -rf`` on the directory.
+Enable it by passing ``cache_dir=`` to ``ExperimentRunner`` (the CLI's
+``--cache-dir`` flag does so).  Inspect it with
+:meth:`DiskCellCache.describe`; empty it with ``rm -rf`` on the directory.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ def _read_cell(path: Path):
 class DiskCellCache(ContentStore):
     """Pickled cell results (``ab/abcdef....pkl``)."""
 
-    ENV = "RNR_CACHE_DIR"
     SUFFIX = ".pkl"
     LABEL = "cell cache"
     NOUN = "entries"

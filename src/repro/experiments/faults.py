@@ -19,8 +19,7 @@ manifest cell id (``app/input/prefetcher`` with optional ``@mode`` and
 ``/wWINDOW`` suffixes — see :func:`repro.experiments.supervise.cell_id`)
 and ``N`` bounds the fault to the first N attempts, making it *transient*
 (the default is to fault every attempt).  Specs come from the CLI's
-repeatable ``--inject-fault`` flag or the ``RNR_FAULTS`` environment
-variable (comma-separated).
+repeatable ``--inject-fault`` flag.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ from __future__ import annotations
 import os
 import time
 from typing import Dict, Iterable, Mapping, Optional, Tuple
-
-#: Environment variable carrying comma-separated fault specs.
-FAULTS_ENV = "RNR_FAULTS"
 
 FAULT_KINDS = ("raise", "hang", "crash", "cache")
 
@@ -73,14 +69,6 @@ def parse_faults(specs: Iterable[str]) -> Dict[str, Tuple[str, Optional[int]]]:
         cell, kind, attempts = parse_fault_spec(spec)
         plan[cell] = (kind, attempts)
     return plan
-
-
-def faults_from_env() -> Dict[str, Tuple[str, Optional[int]]]:
-    """Fault plan from ``RNR_FAULTS`` (empty when unset)."""
-    raw = os.environ.get(FAULTS_ENV, "").strip()
-    if not raw:
-        return {}
-    return parse_faults(s for s in raw.split(",") if s.strip())
 
 
 class FaultPlan:

@@ -98,17 +98,17 @@ class CellSpec:
 class ExperimentRunner:
     """Builds workloads/traces once and memoizes every simulation.
 
-    ``cache_dir`` (or the ``RNR_CACHE_DIR`` environment variable) enables
-    the persistent cell cache: finished :class:`CellResult` objects are
-    stored on disk and reloaded by any later runner with an identical
-    (config, scale, seed, iterations, window, prefetcher, version) key —
-    see :mod:`repro.experiments.diskcache`.
+    ``cache_dir`` enables the persistent cell cache: finished
+    :class:`CellResult` objects are stored on disk and reloaded by any
+    later runner with an identical (config, scale, seed, iterations,
+    window, prefetcher, version) key — see :mod:`repro.experiments.diskcache`.
+    Without it (the default) there is no cell cache.
 
-    ``trace_store`` (or ``RNR_TRACE_STORE``) enables the content-addressed
-    binary trace store: each workload's recorded reference stream is built
-    at most once ever, written as a packed binary file, and mapped
-    zero-copy (``mmap``) by every later run and worker — see
-    :mod:`repro.trace.store`.
+    ``trace_store`` enables the content-addressed binary trace store: each
+    workload's recorded reference stream is built at most once ever,
+    written as a packed binary file, and mapped zero-copy (``mmap``) by
+    every later run and worker — see :mod:`repro.trace.store`.  Without it
+    (the default) every trace is built in memory.
 
     ``lenient=True`` turns missing cells into degraded output instead of
     exceptions: a cell that the supervised sweep marked failed — or that
@@ -138,11 +138,7 @@ class ExperimentRunner:
         self.lenient = lenient
         # Telemetry config (None or disabled keeps the null collector).
         self.telemetry = telemetry if telemetry is not None and telemetry.enabled else None
-        if cache_dir is None:
-            cache_dir = diskcache.DiskCellCache.default_root()
         self.cache = diskcache.DiskCellCache(cache_dir) if cache_dir else None
-        if trace_store is None:
-            trace_store = TraceStore.default_root()
         self.trace_store = TraceStore(trace_store) if trace_store else None
         self._workloads: Dict[Tuple, Workload] = {}
         self._traces: Dict[Tuple, Trace] = {}

@@ -6,9 +6,9 @@ though: one worker exception, hang, or OOM kill aborts the whole sweep
 and discards every finished cell.  This module runs the matrix under the
 supervision discipline of a long-running serving stack:
 
-* **per-cell wall-clock timeouts** (``cell_timeout`` argument,
-  ``--cell-timeout`` flag, or ``RNR_CELL_TIMEOUT``) — a hung worker is
-  killed and only its cell is charged;
+* **per-cell wall-clock timeouts** (``cell_timeout`` argument or
+  ``--cell-timeout`` flag) — a hung worker is killed and only its cell
+  is charged;
 * **bounded retries** (:class:`RetryPolicy`) for transient failures
   (timeouts, crashes, cache corruption); a retried cell rejoins the back
   of the ready queue, and deterministic errors fail immediately;
@@ -36,9 +36,8 @@ of its own or of an unstarted workload is ready.
 
 Before dispatch, :func:`pending_specs` drops memoized, disk-cached and
 duplicate cells, so a fully warm sweep starts no worker.  The worker
-count comes from :func:`resolve_jobs`: explicit ``jobs`` argument, else
-the ``RNR_JOBS`` environment variable, else the number of CPUs this
-process may run on.
+count comes from :func:`resolve_jobs`: the ``jobs`` argument, else the
+number of CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -55,21 +54,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.experiments import faults as faults_mod
 from repro.experiments.diskcache import DiskCellCache
-from repro.experiments.runner import (
-    APPS,
-    CellSpec,
-    ExperimentRunner,
-    inputs_for,
-    prefetchers_for,
-)
+from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.telemetry.sweep import SweepTelemetry
 from repro.trace.store import TraceStore
-
-#: Environment variable providing the default worker count.
-JOBS_ENV = "RNR_JOBS"
-
-#: Environment variable providing the default per-cell timeout (seconds).
-CELL_TIMEOUT_ENV = "RNR_CELL_TIMEOUT"
 
 #: Manifest file name (placed next to the cell cache entries).
 MANIFEST_NAME = "sweep-manifest.json"
@@ -104,27 +91,16 @@ def classify_exception(exc_type_name: str) -> str:
     return FailureKind.ERROR
 
 
-def _validate_jobs(value, source: str) -> int:
-    """Shared worker-count validator for the explicit-argument and
-    ``RNR_JOBS`` paths: must parse as an integer and be >= 1."""
-    try:
-        jobs = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be a positive integer, got {value!r}"
-        ) from None
-    if jobs < 1:
-        raise ValueError(f"{source} must be >= 1, got {jobs}")
-    return jobs
-
-
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument > ``RNR_JOBS`` > usable CPUs."""
+    """Worker count: the argument (an integer >= 1), else usable CPUs."""
     if jobs is not None:
-        return _validate_jobs(jobs, "jobs")
-    env = os.environ.get(JOBS_ENV, "").strip()
-    if env:
-        return _validate_jobs(env, JOBS_ENV)
+        try:
+            value = int(jobs)
+        except (TypeError, ValueError):
+            raise ValueError(f"jobs must be a positive integer, got {jobs!r}") from None
+        if value < 1:
+            raise ValueError(f"jobs must be >= 1, got {value}")
+        return value
     if hasattr(os, "sched_getaffinity"):
         # Under taskset or a cpuset-limited container this is fewer than
         # os.cpu_count(), which would oversubscribe the usable CPUs.
@@ -133,23 +109,10 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def resolve_cell_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Timeout: explicit argument > ``RNR_CELL_TIMEOUT`` > None (no limit)."""
-    if timeout is not None:
-        if timeout <= 0:
-            raise ValueError(f"cell timeout must be > 0 seconds, got {timeout}")
-        return timeout
-    env = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(
-                f"{CELL_TIMEOUT_ENV} must be a number of seconds, got {env!r}"
-            ) from None
-        if value <= 0:
-            raise ValueError(f"{CELL_TIMEOUT_ENV} must be > 0, got {value}")
-        return value
-    return None
+    """Timeout: the argument (> 0 seconds), else None (no limit)."""
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"cell timeout must be > 0 seconds, got {timeout}")
+    return timeout
 
 
 def cell_id(spec: CellSpec) -> str:
@@ -204,7 +167,7 @@ class SweepReport:
     """Outcome of one supervised sweep."""
 
     simulated: int = 0
-    skipped: int = 0  # warm in memo/disk cache before the sweep started
+    skipped: int = 0  # distinct cells warm in memo/disk cache before the sweep
     retried: int = 0  # extra attempts beyond the first, across all cells
     duration: float = 0.0
     failures: List[CellFailure] = field(default_factory=list)
@@ -338,18 +301,6 @@ class SweepManifest:
             "attempts": attempts,
             "duration_s": round(duration, 3),
         }
-
-
-def full_matrix_specs(runner: ExperimentRunner) -> List[CellSpec]:
-    """Every (app, input, prefetcher) cell of Figs 1 and 6-13 plus ideal."""
-    specs: List[CellSpec] = []
-    for app in APPS:
-        for input_name in inputs_for(app):
-            specs.append(CellSpec(app, input_name, "baseline"))
-            for name in prefetchers_for(app):
-                specs.append(CellSpec(app, input_name, name))
-            specs.append(CellSpec(app, input_name, "ideal"))
-    return specs
 
 
 def pending_specs(
@@ -560,13 +511,13 @@ def pick_cell(
 
 def run_supervised_sweep(
     runner: ExperimentRunner,
-    specs: Optional[Iterable[CellSpec]] = None,
+    specs: Iterable[CellSpec],
     jobs: Optional[int] = None,
     cell_timeout: Optional[float] = None,
     policy: Optional[RetryPolicy] = None,
     faults: Optional[dict] = None,
 ) -> SweepReport:
-    """Run ``specs`` (default: the full matrix) under supervision.
+    """Run ``specs`` under supervision.
 
     Completed cells are merged into ``runner``'s memo (and its disk cache,
     written by the workers); permanently failed cells are recorded on the
@@ -581,11 +532,14 @@ def run_supervised_sweep(
     jobs = resolve_jobs(jobs)
     report = SweepReport()
 
-    if specs is None:
-        specs = full_matrix_specs(runner)
     specs = list(specs)
     pending = pending_specs(runner, specs)
-    report.skipped = len(specs) - len(pending)
+    # A spec listed twice is one cell: only distinct cells count as warm.
+    distinct = {
+        runner._result_key(s.app, s.input_name, s.prefetcher, s.mode, s.window)
+        for s in specs
+    }
+    report.skipped = len(distinct) - len(pending)
 
     if not pending:
         report.duration = time.monotonic() - began

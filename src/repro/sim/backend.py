@@ -9,8 +9,9 @@ golden-parity suite pins their ``SimStats`` equality):
   contract and kept as the golden oracle.  Runs with an enabled telemetry
   collector take it under either backend.
 
-Resolution mirrors :func:`repro.experiments.supervise.resolve_jobs`:
-explicit argument > ``RNR_ENGINE`` environment variable > ``fast``.
+Resolution: explicit argument > ``RNR_ENGINE`` environment variable >
+``fast``.  It is the one setting the experiments CLI hands to its sweep
+workers through the environment.
 Unknown values raise :class:`ValueError` from a single shared validator,
 so the CLI, the engines, and tests all reject the same way.
 """

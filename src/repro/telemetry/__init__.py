@@ -28,14 +28,7 @@ from repro.telemetry.collector import (
     NullCollector,
     TelemetryCollector,
 )
-from repro.telemetry.config import (
-    DEFAULT_SAMPLE_INTERVAL,
-    SAMPLE_INTERVAL_ENV,
-    TELEMETRY_ENV,
-    TRACE_EVENTS_ENV,
-    TelemetryConfig,
-    resolve_config,
-)
+from repro.telemetry.config import DEFAULT_SAMPLE_INTERVAL, TelemetryConfig
 from repro.telemetry.export import read_csv, write_csv, write_jsonl
 from repro.telemetry.lifecycle import EventLog, LifecycleTracer
 from repro.telemetry.sampler import IntervalSampler
@@ -50,14 +43,10 @@ __all__ = [
     "LifecycleTracer",
     "NULL_COLLECTOR",
     "NullCollector",
-    "SAMPLE_INTERVAL_ENV",
     "SweepTelemetry",
-    "TELEMETRY_ENV",
-    "TRACE_EVENTS_ENV",
     "TelemetryCollector",
     "TelemetryConfig",
     "read_csv",
-    "resolve_config",
     "write_csv",
     "write_jsonl",
 ]

@@ -30,6 +30,12 @@ from repro.telemetry.sampler import IntervalSampler
 #: Sentinel "never" cycle for the engine's sampling comparison.
 _NEVER = 1 << 62
 
+#: Event-log cap per run; excess events are counted, not silently lost.
+MAX_EVENTS = 1_000_000
+
+#: Minimum wall-clock seconds between heartbeat emissions.
+HEARTBEAT_SECONDS = 0.5
+
 
 class Collector:
     """Null protocol: every hook is a no-op; subclass what you need."""
@@ -92,7 +98,7 @@ class TelemetryCollector(Collector):
 
     def __init__(self, config: Optional[TelemetryConfig] = None):
         self.config = config if config is not None else TelemetryConfig(out_dir=None)
-        self.log = EventLog(self.config.max_events)
+        self.log = EventLog(MAX_EVENTS)
         self.sampler = IntervalSampler(self.config.sample_interval)
         self.tracer = LifecycleTracer(self.log)
         self.next_sample = _NEVER
@@ -137,7 +143,7 @@ class TelemetryCollector(Collector):
         heartbeat = self.config.heartbeat
         if heartbeat is not None:
             now = time.monotonic()
-            if now - self._last_heartbeat >= self.config.heartbeat_seconds:
+            if now - self._last_heartbeat >= HEARTBEAT_SECONDS:
                 self._last_heartbeat = now
                 heartbeat(
                     {

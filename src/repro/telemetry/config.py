@@ -1,34 +1,20 @@
-"""Telemetry configuration and environment resolution.
+"""Telemetry configuration.
 
 A :class:`TelemetryConfig` travels from the CLI (``--telemetry-dir``,
-``--sample-interval``, ``--trace-events``) or the environment
-(``RNR_TELEMETRY``, ``RNR_SAMPLE_INTERVAL``, ``RNR_TRACE_EVENTS``) into
-the :class:`~repro.experiments.runner.ExperimentRunner` and across the
+``--sample-interval``, ``--trace-events``) into the
+:class:`~repro.experiments.runner.ExperimentRunner` and across the
 supervised-sweep worker pipe.  It is pickle-safe: the optional
 ``heartbeat`` callable is installed worker-side only, never serialized.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-#: Telemetry output directory (enables telemetry when set).
-TELEMETRY_ENV = "RNR_TELEMETRY"
-
-#: Interval-sampler period in cycles.
-SAMPLE_INTERVAL_ENV = "RNR_SAMPLE_INTERVAL"
-
-#: Truthy value enables Chrome trace_event export.
-TRACE_EVENTS_ENV = "RNR_TRACE_EVENTS"
-
 #: Default sampling period (cycles between time-series snapshots).
 DEFAULT_SAMPLE_INTERVAL = 100_000
-
-#: Event-log cap per run; excess events are counted, not silently lost.
-DEFAULT_MAX_EVENTS = 1_000_000
 
 
 @dataclass
@@ -44,9 +30,6 @@ class TelemetryConfig:
     out_dir: Optional[str] = None
     sample_interval: int = DEFAULT_SAMPLE_INTERVAL
     trace_events: bool = False
-    max_events: int = DEFAULT_MAX_EVENTS
-    #: Minimum wall-clock seconds between heartbeat emissions.
-    heartbeat_seconds: float = 0.5
     #: Worker-side live-progress sink; set locally, never pickled with a
     #: value (the supervisor ships configs with ``heartbeat=None``).
     heartbeat: Optional[Callable[[dict], None]] = field(
@@ -70,43 +53,3 @@ class TelemetryConfig:
         if self.out_dir is None:
             raise ValueError("telemetry is disabled (no out_dir)")
         return Path(self.out_dir)
-
-
-def _env_truthy(value: str) -> bool:
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
-def resolve_config(
-    telemetry_dir: Optional[str] = None,
-    sample_interval: Optional[int] = None,
-    trace_events: Optional[bool] = None,
-) -> Optional[TelemetryConfig]:
-    """CLI arguments > environment > disabled (returns ``None``).
-
-    Raises :class:`ValueError` for malformed environment values so the
-    CLI can fail fast at startup rather than mid-sweep.
-    """
-    out_dir = telemetry_dir or os.environ.get(TELEMETRY_ENV, "").strip() or None
-    if out_dir is None:
-        return None
-    if sample_interval is None:
-        env = os.environ.get(SAMPLE_INTERVAL_ENV, "").strip()
-        if env:
-            try:
-                sample_interval = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{SAMPLE_INTERVAL_ENV} must be an integer cycle count, "
-                    f"got {env!r}"
-                ) from None
-        else:
-            sample_interval = DEFAULT_SAMPLE_INTERVAL
-    if sample_interval < 1:
-        raise ValueError(f"sample interval must be >= 1, got {sample_interval}")
-    if trace_events is None:
-        trace_events = _env_truthy(os.environ.get(TRACE_EVENTS_ENV, ""))
-    return TelemetryConfig(
-        out_dir=out_dir,
-        sample_interval=sample_interval,
-        trace_events=bool(trace_events),
-    )

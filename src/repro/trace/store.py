@@ -1,11 +1,10 @@
 """Content-addressed on-disk stores: recorded traces and finished cells.
 
 The sweep keeps two kinds of entry on disk, each under its own root: the
-recorded workload traces (:class:`TraceStore`; ``--trace-store`` or
-``RNR_TRACE_STORE``) and the finished figure cells
-(:class:`~repro.experiments.diskcache.DiskCellCache`; ``--cache-dir`` or
-``RNR_CACHE_DIR``).  Both are a :class:`ContentStore` with a codec of
-their own, and both keep one policy:
+recorded workload traces (:class:`TraceStore`; ``--trace-store``) and the
+finished figure cells (:class:`~repro.experiments.diskcache.DiskCellCache`;
+``--cache-dir``).  Both are a :class:`ContentStore` with a codec of their
+own, and both keep one policy:
 
 * An entry is named by the SHA-256 of the canonical JSON of everything
   that can change its content (:func:`content_key`) and lives two
@@ -79,8 +78,6 @@ class ContentStore:
     docstring for the policy).  A subclass supplies its codec through its
     own ``get`` and ``put``, built on :meth:`_load` and :meth:`_publish`."""
 
-    #: Environment variable naming the default root.
-    ENV = ""
     #: File-name suffix of a published entry.
     SUFFIX = ""
     #: How :meth:`describe` names the store and its entries.
@@ -95,12 +92,6 @@ class ContentStore:
         self.root = Path(root)
         for name in self.COUNTERS:
             setattr(self, name, 0)
-
-    @classmethod
-    def default_root(cls) -> Optional[Path]:
-        """The root named by the store's environment variable, or None."""
-        value = os.environ.get(cls.ENV, "").strip()
-        return Path(value) if value else None
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}{self.SUFFIX}"
@@ -226,7 +217,6 @@ def trace_key(
 class TraceStore(ContentStore):
     """Recorded traces in :mod:`repro.trace.binfmt`'s packed format."""
 
-    ENV = "RNR_TRACE_STORE"
     SUFFIX = ".rnrt"
     LABEL = "trace store"
     NOUN = "traces"

@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import claims, multicore
 from repro.experiments.__main__ import FIGURES, main
+from repro.experiments.runner import ExperimentRunner
 from repro.sim.engine import SimulationEngine
 
 
@@ -82,6 +83,30 @@ class TestCli:
     def test_bad_cell_timeout_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig13", "--cell-timeout", "-3"])
+
+    def test_bad_window_rejected(self, capsys):
+        assert "--window must be >= 1" in _usage_error(capsys, ["hw", "--window", "0"])
+
+    def test_environment_does_not_configure_a_run(self, tmp_path, monkeypatch, capsys):
+        """Variables named like the flags change nothing: a run is
+        configured by its arguments alone."""
+        dirs = [tmp_path / name for name in ("cells", "traces", "telemetry")]
+        for name, value in {
+            "RNR_JOBS": "0",
+            "RNR_CELL_TIMEOUT": "soon",
+            "RNR_FAULTS": "pagerank/urand/rnr=raise",
+            "RNR_SAMPLE_INTERVAL": "fast",
+            "RNR_TRACE_EVENTS": "1",
+            "RNR_CACHE_DIR": str(dirs[0]),
+            "RNR_TRACE_STORE": str(dirs[1]),
+            "RNR_TELEMETRY": str(dirs[2]),
+        }.items():
+            monkeypatch.setenv(name, value)
+        runner = ExperimentRunner(scale="test")
+        assert runner.cache is None and runner.trace_store is None
+        assert main(["fig13", "--scale", "test", "--jobs", "1"]) == 0
+        assert "sweep: 12 simulated, 0 warm, 0 retries, 0 failed" in capsys.readouterr().out
+        assert not any(path.exists() for path in dirs)
 
 
 class TestChaos:

@@ -1,7 +1,7 @@
 """Concurrent writers — and readers — racing the disk cache and the
 trace store.
 
-Two sweeps sharing one ``RNR_CACHE_DIR`` / ``RNR_TRACE_STORE`` can
+Two sweeps sharing one ``--cache-dir`` / ``--trace-store`` can
 finish the same cell, or build the same trace, at the same instant.  The
 stores must stay first-winner: exactly one process's entry lands, every
 loser counts a race, and a reader never sees a torn or truncated entry.

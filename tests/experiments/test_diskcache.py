@@ -138,16 +138,9 @@ class TestRunnerIntegration:
         assert other.cache.hits == 0
         assert other.cache.stores == 1
 
-    def test_cache_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(diskcache.DiskCellCache.ENV, raising=False)
+    def test_cache_disabled_by_default(self):
         runner = ExperimentRunner(scale="test")
         assert runner.cache is None
-
-    def test_env_var_enables_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(diskcache.DiskCellCache.ENV, str(tmp_path / "cells"))
-        runner = ExperimentRunner(scale="test")
-        assert runner.cache is not None
-        assert runner.cache.root == tmp_path / "cells"
 
     def test_cell_result_is_picklable(self, tmp_path):
         runner = ExperimentRunner(scale="test", cache_dir=None)

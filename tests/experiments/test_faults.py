@@ -38,14 +38,6 @@ class TestParsing:
         plan = faults.parse_faults(["a=raise", "b=crash:1"])
         assert plan == {"a": ("raise", None), "b": ("crash", 1)}
 
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "a=raise, b=cache:2")
-        assert faults.faults_from_env() == {"a": ("raise", None), "b": ("cache", 2)}
-
-    def test_env_empty(self, monkeypatch):
-        monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
-        assert faults.faults_from_env() == {}
-
 
 class TestFaultPlan:
     def test_empty_plan_is_falsy_and_inert(self):

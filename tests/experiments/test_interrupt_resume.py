@@ -17,7 +17,6 @@ import pytest
 
 from repro.experiments import supervise
 from repro.experiments.__main__ import main
-from repro.experiments.diskcache import DiskCellCache
 from repro.experiments.runner import CellSpec, ExperimentRunner
 from repro.experiments.supervise import (
     INTERRUPT_EXIT_STATUS,
@@ -158,7 +157,6 @@ class TestInterruptHint:
         return capsys.readouterr().out
 
     def test_no_manifest_no_resume_hint(self, monkeypatch, capsys):
-        monkeypatch.delenv(DiskCellCache.ENV, raising=False)
         out = self._interrupted(monkeypatch, capsys)
         assert "sweep interrupted" in out
         assert "manifest flushed" not in out

@@ -24,16 +24,10 @@ def _runner():
 
 
 class TestResolveJobs:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(supervise.JOBS_ENV, "7")
+    def test_explicit_wins(self):
         assert supervise.resolve_jobs(3) == 3
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(supervise.JOBS_ENV, "5")
-        assert supervise.resolve_jobs() == 5
-
-    def test_cpu_count_default(self, monkeypatch):
-        monkeypatch.delenv(supervise.JOBS_ENV, raising=False)
+    def test_cpu_count_default(self):
         if hasattr(os, "sched_getaffinity"):
             assert supervise.resolve_jobs() == len(os.sched_getaffinity(0))
         else:
@@ -41,44 +35,27 @@ class TestResolveJobs:
 
     def test_default_follows_cpu_affinity(self, monkeypatch):
         # taskset / a cpuset-limited container: one usable CPU of many.
-        monkeypatch.delenv(supervise.JOBS_ENV, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert supervise.resolve_jobs() == 1
 
     def test_default_without_affinity_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(supervise.JOBS_ENV, raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert supervise.resolve_jobs() == 3
 
-    def test_rejects_nonpositive(self, monkeypatch):
-        with pytest.raises(ValueError):
-            supervise.resolve_jobs(0)
-        monkeypatch.setenv(supervise.JOBS_ENV, "-2")
-        with pytest.raises(ValueError):
-            supervise.resolve_jobs()
-
-    def test_rejects_zero_env(self, monkeypatch):
-        monkeypatch.setenv(supervise.JOBS_ENV, "0")
-        with pytest.raises(ValueError, match="RNR_JOBS"):
-            supervise.resolve_jobs()
-
-    def test_rejects_noninteger_env(self, monkeypatch):
-        monkeypatch.setenv(supervise.JOBS_ENV, "many")
-        with pytest.raises(ValueError, match="positive integer"):
-            supervise.resolve_jobs()
+    def test_rejects_nonpositive(self):
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
+                supervise.resolve_jobs(bad)
 
     def test_rejects_noninteger_argument(self):
         with pytest.raises(ValueError, match="positive integer"):
             supervise.resolve_jobs("abc")
 
-    def test_error_message_names_the_source(self, monkeypatch):
+    def test_error_message_names_the_source(self):
         with pytest.raises(ValueError, match="jobs must be"):
             supervise.resolve_jobs(0)
-        monkeypatch.setenv(supervise.JOBS_ENV, "0")
-        with pytest.raises(ValueError, match=supervise.JOBS_ENV):
-            supervise.resolve_jobs()
 
 
 class TestRunSweep:
@@ -111,16 +88,8 @@ class TestRunSweep:
 
     def test_duplicate_specs_run_once(self):
         runner = _runner()
-        assert run_supervised_sweep(runner, [SPECS[0], SPECS[0]], jobs=1).simulated == 1
-
-    def test_full_matrix_covers_every_cell(self):
-        runner = _runner()
-        specs = supervise.full_matrix_specs(runner)
-        pairs = {(s.app, s.input_name) for s in specs}
-        assert pairs == set(runner.cells())
-        names = {s.prefetcher for s in specs}
-        assert {"baseline", "rnr", "ideal"} <= names
-        # DROPLET must not be scheduled for the matrix apps.
-        assert not any(
-            s.prefetcher == "droplet" and s.app == "spcg" for s in specs
-        )
+        report = run_supervised_sweep(runner, [SPECS[0], SPECS[0]], jobs=1)
+        # One cell, simulated once; its second listing is not a warm cell.
+        assert report.simulated == 1
+        assert report.skipped == 0
+        assert report.render().startswith("sweep: 1 simulated, 0 warm")

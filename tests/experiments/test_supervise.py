@@ -63,27 +63,16 @@ class TestCellId:
 
 
 class TestResolveCellTimeout:
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(supervise.CELL_TIMEOUT_ENV, "30")
+    def test_argument_wins(self):
         assert resolve_cell_timeout(5.0) == 5.0
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(supervise.CELL_TIMEOUT_ENV, "12.5")
-        assert resolve_cell_timeout() == 12.5
-
-    def test_default_unlimited(self, monkeypatch):
-        monkeypatch.delenv(supervise.CELL_TIMEOUT_ENV, raising=False)
+    def test_default_unlimited(self):
         assert resolve_cell_timeout() is None
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
             resolve_cell_timeout(bad)
-
-    def test_rejects_garbage_env(self, monkeypatch):
-        monkeypatch.setenv(supervise.CELL_TIMEOUT_ENV, "soon")
-        with pytest.raises(ValueError):
-            resolve_cell_timeout()
 
 
 class TestRetryPolicy:
