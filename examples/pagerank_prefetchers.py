@@ -2,8 +2,8 @@
 """Compare prefetchers on PageRank (a miniature of the paper's Fig 6/8/9).
 
 Runs the Ligra-style pull PageRank over a synthetic uniform-random graph
-(the paper's hardest input class) under every prefetcher in the registry
-and prints speedup, coverage, and accuracy per prefetcher.
+(the paper's hardest input class) under every prefetcher of the paper's
+evaluation and prints speedup, coverage, and accuracy per prefetcher.
 
 Run:  python examples/pagerank_prefetchers.py [graph]
       graph in {urand, amazon, com-orkut, roadUSA}; default urand

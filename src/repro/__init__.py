@@ -1,16 +1,19 @@
 """repro — a reproduction of *RnR: A Software-Assisted Record-and-Replay
 Hardware Prefetcher* (Zhang, Zeng, Shalf, Guo; MICRO 2020).
 
-Top-level convenience imports cover the common workflow::
+Top-level convenience imports cover the common workflow (shown on a
+test-scale graph; the workloads need numpy):
 
-    from repro import SystemConfig, SimulationEngine, make_prefetcher
-    from repro.workloads import PageRankWorkload
-    from repro.graphs import datasets
-
-    config = SystemConfig.scaled()
-    workload = PageRankWorkload(datasets.make_graph("amazon"), iterations=3)
-    trace = workload.build_trace(window_size=32)
-    stats = SimulationEngine(config, make_prefetcher("rnr")).run(trace)
+>>> from repro import SystemConfig, SimulationEngine, make_prefetcher
+>>> from repro.workloads import PageRankWorkload
+>>> from repro.graphs import datasets
+>>> config = SystemConfig.scaled()
+>>> graph = datasets.make_graph("amazon", scale="test")
+>>> workload = PageRankWorkload(graph, iterations=3, window_size=32)
+>>> trace = workload.build_trace()
+>>> stats = SimulationEngine(config, make_prefetcher("rnr")).run(trace)
+>>> stats.prefetch.issued > 0
+True
 """
 
 from repro.config import LINE_SIZE, SystemConfig

@@ -3,8 +3,8 @@
 All prefetchers follow the paper's methodology: they train on private-L2
 demand traffic and fill prefetched lines into the private L2.  The set
 covers every comparison point in the evaluation (next-line, Bingo, SteMS,
-MISB, DROPLET) plus GHB and ISB from the motivation section and IMP from
-related work, and the composite used for "RnR-Combined".
+MISB, DROPLET) plus GHB and ISB from the motivation section, and the
+composite used for "RnR-Combined".
 """
 
 from repro.prefetchers.base import NullPrefetcher, Prefetcher
@@ -16,7 +16,6 @@ from repro.prefetchers.misb import MISBPrefetcher
 from repro.prefetchers.bingo import BingoPrefetcher
 from repro.prefetchers.stems import SteMSPrefetcher
 from repro.prefetchers.droplet import DropletPrefetcher
-from repro.prefetchers.imp import IMPPrefetcher
 from repro.prefetchers.composite import CompositePrefetcher
 from repro.prefetchers.registry import PREFETCHERS, make_prefetcher
 
@@ -25,7 +24,6 @@ __all__ = [
     "CompositePrefetcher",
     "DropletPrefetcher",
     "GHBPrefetcher",
-    "IMPPrefetcher",
     "ISBPrefetcher",
     "MISBPrefetcher",
     "NextLinePrefetcher",

@@ -9,7 +9,6 @@ from repro.prefetchers.bingo import BingoPrefetcher
 from repro.prefetchers.composite import CompositePrefetcher
 from repro.prefetchers.droplet import DropletPrefetcher
 from repro.prefetchers.ghb import GHBPrefetcher
-from repro.prefetchers.imp import IMPPrefetcher
 from repro.prefetchers.isb import ISBPrefetcher
 from repro.prefetchers.misb import MISBPrefetcher
 from repro.prefetchers.nextline import NextLinePrefetcher
@@ -43,7 +42,6 @@ PREFETCHERS: Dict[str, Callable[..., Prefetcher]] = {
     "bingo": BingoPrefetcher,
     "stems": SteMSPrefetcher,
     "droplet": DropletPrefetcher,
-    "imp": IMPPrefetcher,
     "rnr": _make_rnr,
     "rnr-combined": _make_rnr_combined,
 }

@@ -81,13 +81,17 @@ class _PrefetchState:
         self._emit("rnr.state.end")
 
 
+def _check_window(size: int) -> None:
+    if size < 1:
+        raise ValueError(f"window size must be >= 1, got {size}")
+
+
 class _WindowSize:
     def __init__(self, emit: Callable[..., None]):
         self._emit = emit
 
     def set(self, size: int) -> None:
-        if size < 1:
-            raise ValueError(f"window size must be >= 1, got {size}")
+        _check_window(size)
         self._emit("rnr.window_size.set", size)
 
 
@@ -107,6 +111,7 @@ class RnRInterface:
         div_capacity: int = DEFAULT_DIV_CAPACITY,
         asid: int = 1,
     ):
+        _check_window(default_window)
         self._builder = builder
         self._space = space
         self._default_window = default_window

@@ -3,14 +3,11 @@
 from repro.sim.engine import SimulationEngine
 from repro.sim.multicore import MulticoreEngine
 from repro.sim.ideal import run_ideal
-from repro.sim.harness import ComparisonResult, compare_prefetchers
 from repro.sim import metrics
 
 __all__ = [
-    "ComparisonResult",
     "MulticoreEngine",
     "SimulationEngine",
-    "compare_prefetchers",
     "metrics",
     "run_ideal",
 ]

@@ -35,7 +35,6 @@ through :func:`repro.sim.backend.resolve_engine_backend`.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Optional
 
 from repro.cache.cache import Cache
@@ -183,17 +182,8 @@ class SimulationEngine:
         than attribute lookups and record-object construction.  The
         columns may equally be ``memoryview`` windows into an mmap'd
         binary trace file (:class:`repro.trace.binfmt.MappedTrace`) — the
-        loops stream those straight from the OS page cache.  A str/Path
-        argument is loaded from disk (either trace format, sniffed).
+        loops stream those straight from the OS page cache.
         """
-        if not isinstance(trace, Trace):
-            if isinstance(trace, (str, Path)):
-                from repro.trace.binfmt import load_any
-
-                trace = load_any(trace)
-            else:
-                trace = Trace(trace)
-
         collector = self.collector
         prefetcher = self.prefetcher
         hierarchy = self.hierarchy

@@ -17,9 +17,8 @@ operation (let alone the O(cores) ``min()`` scan this replaces).  The
 finished/drained immediately — in the same shared-controller order as
 the one-entry-at-a-time scheduler — so results are bit-identical.
 
-Per-core traces stream through ``iter_packed()``; a str/Path entry is
-loaded from disk, so store-served binary traces can be passed by path
-without materialising record objects.  The backend, resolved once per
+Per-core traces stream through ``iter_packed()``, so a store-served
+binary trace runs straight off its mmap.  The backend, resolved once per
 run through the same resolver as the single-core engine, applies to
 every core: under ``fast`` each core takes the engine's inlined L1-hit
 path (see :mod:`repro.sim.engine`), under ``straight`` every access goes
@@ -30,7 +29,6 @@ keeps the base no-op hooks skips hook dispatch under either backend.
 from __future__ import annotations
 
 import heapq
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.cache.cache import Cache
@@ -80,27 +78,16 @@ class MulticoreEngine:
         ]
 
     # ------------------------------------------------------------------
-    def run(self, traces: Sequence) -> List[SimStats]:
+    def run(self, traces: Sequence[Trace]) -> List[SimStats]:
         """Interleave per-core traces by local core time.
 
-        Each element of ``traces`` may be a :class:`Trace` (including a
-        mmap-backed :class:`~repro.trace.binfmt.MappedTrace`), a str/Path
-        to a trace file on disk, or an iterable of records.  A core whose
+        Each element of ``traces`` is a :class:`Trace` (a mmap-backed
+        :class:`~repro.trace.binfmt.MappedTrace` is one).  A core whose
         trace is empty never runs and keeps zeroed statistics.
         """
         engines = self.engines
         if len(traces) != len(engines):
             raise ValueError(f"need {len(engines)} traces, got {len(traces)}")
-        coerced: List[Trace] = []
-        for trace in traces:
-            if not isinstance(trace, Trace):
-                if isinstance(trace, (str, Path)):
-                    from repro.trace.binfmt import load_any
-
-                    trace = load_any(trace)
-                else:
-                    trace = Trace(trace)
-            coerced.append(trace)
 
         none_event = L2Event.NONE
         kind_directive = KIND_DIRECTIVE
@@ -118,7 +105,7 @@ class MulticoreEngine:
         misses: List[int] = []
         state: List = []
         heap: List = []
-        for idx, trace in enumerate(coerced):
+        for idx, trace in enumerate(traces):
             if len(trace) == 0:
                 # A core with no trace never runs, never finishes, and
                 # keeps zeroed stats (matches the previous scheduler).

@@ -15,7 +15,7 @@ from repro.trace.record import (
 from repro.trace.trace import Trace
 from repro.trace.builder import TraceBuilder
 from repro.trace.address_space import AddressSpace, Region
-from repro.trace.binfmt import MappedTrace, TraceFormatError, load_any
+from repro.trace.binfmt import MappedTrace, TraceFormatError
 from repro.trace.store import TraceStore
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "TraceFormatError",
     "TraceRecord",
     "TraceStore",
-    "load_any",
 ]

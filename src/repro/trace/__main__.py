@@ -1,16 +1,14 @@
-"""Trace-file inspection and conversion CLI.
+"""Trace-file inspection CLI.
 
 Usage::
 
-    python -m repro.trace stats  trace.jsonl     # summary + per-PC profile
-    python -m repro.trace dump   trace.rnrt -n 20
-    python -m repro.trace diff   a.jsonl b.rnrt
-    python -m repro.trace convert trace.jsonl trace.rnrt --format bin
-    python -m repro.trace convert trace.rnrt trace.jsonl --format json
+    python -m repro.trace stats trace.rnrt       # summary + per-PC profile
+    python -m repro.trace dump  trace.rnrt -n 20
+    python -m repro.trace diff  a.rnrt b.rnrt
 
-Every command accepts either format: the packed binary store format
-(:mod:`repro.trace.binfmt`) is detected by its magic, anything else is
-read as the JSON-lines debug format.
+Every command reads the packed binary format of :mod:`repro.trace.binfmt`,
+the one the trace store keeps; :func:`repro.trace.binfmt.write_trace`
+writes a standalone file.
 """
 
 from __future__ import annotations
@@ -18,16 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from pathlib import Path
 
 from repro.config import LINE_SIZE
-from repro.trace import binfmt
-from repro.trace.binfmt import load_any
+from repro.trace.binfmt import read_trace
 from repro.trace.record import KIND_DIRECTIVE, KIND_LOAD, KIND_STORE
 
 
 def cmd_stats(args) -> int:
-    trace = load_any(args.file)
+    trace = read_trace(args.file)
     print(f"{args.file}:")
     print(f"  entries:       {len(trace)}")
     print(f"  loads:         {trace.num_loads}")
@@ -49,7 +45,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    trace = load_any(args.file)
+    trace = read_trace(args.file)
     names = {KIND_LOAD: "LOAD ", KIND_STORE: "STORE"}
     for index, entry in enumerate(trace):
         if index >= args.limit:
@@ -66,8 +62,8 @@ def cmd_dump(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    trace_a = load_any(args.file)
-    trace_b = load_any(args.other)
+    trace_a = read_trace(args.file)
+    trace_b = read_trace(args.other)
     refs_a = [(r.kind, r.addr) for r in trace_a.memory_references()]
     refs_b = [(r.kind, r.addr) for r in trace_b.memory_references()]
     if refs_a == refs_b:
@@ -84,24 +80,6 @@ def cmd_diff(args) -> int:
     return 1
 
 
-def cmd_convert(args) -> int:
-    fmt = args.format
-    if fmt is None:
-        # Infer from the destination suffix; .jsonl/.json means the
-        # debug format, anything else the packed binary format.
-        fmt = "json" if Path(args.dest).suffix in (".jsonl", ".json") else "bin"
-    trace = load_any(args.file)
-    if fmt == "bin":
-        binfmt.write_trace(trace, args.dest)
-    else:
-        trace.save(args.dest)
-    print(
-        f"{args.file} -> {args.dest} ({fmt}): {len(trace)} entries, "
-        f"{trace.num_directives} directives"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.trace")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -116,20 +94,6 @@ def main(argv=None) -> int:
     p_diff.add_argument("file")
     p_diff.add_argument("other")
     p_diff.set_defaults(func=cmd_diff)
-    p_convert = sub.add_parser(
-        "convert",
-        help="convert between the JSON-lines debug format and the packed "
-        "binary store format",
-    )
-    p_convert.add_argument("file", help="source trace (format sniffed)")
-    p_convert.add_argument("dest", help="destination path")
-    p_convert.add_argument(
-        "--format",
-        choices=("json", "bin"),
-        default=None,
-        help="output format (default: from the destination suffix)",
-    )
-    p_convert.set_defaults(func=cmd_convert)
     args = parser.parse_args(argv)
     return args.func(args)
 

@@ -1,12 +1,11 @@
 """Packed binary trace format with zero-copy mmap loading.
 
-``Trace.save``/``Trace.load`` round-trip JSON lines — readable and
-diff-friendly, but far too slow to serve as a cache for the sweep's
-trace-driven methodology, where every (app x input x prefetcher) cell
-replays the same reference stream.  This module dumps the trace's four
-packed ``array`` columns raw, framed the same way as the disk cell cache
-(magic + version + CRC32 + promised lengths, verified before use), plus a
-JSON side table for the directive payloads:
+The sweep's trace-driven methodology replays the same reference stream
+in every (app x input x prefetcher) cell, so traces are kept on disk in
+this one format.  It dumps the trace's four packed ``array`` columns raw,
+framed the same way as the disk cell cache (magic + version + CRC32 +
+promised lengths, verified before use), plus a JSON side table for the
+directive payloads:
 
 ===========  ========================================================
 offset 0     28-byte header: magic ``RNRT``, format version, flags,
@@ -30,8 +29,8 @@ deterministically instead of corrupting a simulation.
 :func:`dump_trace` writes the format to an open file, which the trace
 store stages and publishes itself (:mod:`repro.trace.store`).
 :func:`write_trace` writes a standalone file atomically (temp file +
-``os.replace``), so a killed ``repro-trace convert`` never leaves a
-half-written trace behind.
+``os.replace``), so a killed writer never leaves a half-written trace
+behind.
 """
 
 from __future__ import annotations
@@ -118,18 +117,6 @@ class MappedTrace(Trace):
         return bytes(self._kinds).count(KIND_STORE)
 
     # -- lifecycle ----------------------------------------------------------
-    def materialize(self) -> Trace:
-        """An in-memory ``array``-backed copy (detached from the mmap)."""
-        from array import array
-
-        trace = Trace()
-        trace._kinds = array("B", bytes(self._kinds))
-        trace._addrs = array("Q", self._addrs)
-        trace._pcs = array("Q", self._pcs)
-        trace._gaps = array("Q", self._gaps)
-        trace._dirs = list(self._dirs)
-        return trace
-
     def close(self) -> None:
         """Release the column views and unmap the file."""
         for name in ("_kinds", "_addrs", "_pcs", "_gaps"):
@@ -166,8 +153,8 @@ def dump_trace(trace: Trace, fh) -> None:
     """Write ``trace`` in the packed binary format to the open binary file
     ``fh``.
 
-    Directive args must be JSON-serializable (the same constraint as the
-    JSON-lines debug format).
+    Directive args must be JSON-serializable: the directive table is
+    stored as JSON.
     """
     kinds, addrs, pcs, gaps = trace.packed_columns()
     dirs_blob = json.dumps(
@@ -306,23 +293,3 @@ def _read_eager(path, fh, n_entries, dir_len, crc) -> Trace:
     trace._kinds = kinds
     trace._dirs = _parse_directives(payload[3 * col + n_entries : 3 * col + n_entries + dir_len])
     return trace
-
-
-def is_binary_trace(path: Union[str, Path]) -> bool:
-    """True when ``path`` starts with the binary trace magic."""
-    try:
-        with open(path, "rb") as fh:
-            return fh.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
-
-
-def load_any(path: Union[str, Path], map: bool = True) -> Trace:
-    """Load a trace file in either format, sniffing by magic.
-
-    Binary files go through :func:`read_trace` (mmap-backed by default);
-    anything else is treated as the JSON-lines debug format.
-    """
-    if is_binary_trace(path):
-        return read_trace(path, map=map)
-    return Trace.load(path)

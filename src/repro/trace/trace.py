@@ -1,4 +1,4 @@
-"""Trace container with summary statistics and file round-trip.
+"""Trace container with summary statistics.
 
 Storage is structure-of-arrays: four parallel ``array`` columns hold the
 kind/addr/pc/gap of every entry, and directive payloads (op + args) live in
@@ -12,9 +12,7 @@ layout).
 
 from __future__ import annotations
 
-import json
 from array import array
-from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple, Union
 
 from repro.trace.record import (
@@ -163,37 +161,3 @@ class Trace:
             if kind == KIND_DIRECTIVE:
                 op, args = dirs[addr]
                 yield Directive(op, args, gap)
-
-    # -- persistence ----------------------------------------------------------
-    # JSON lines is the explicit *debug* format: readable, diff-friendly,
-    # and slow.  The packed binary format in :mod:`repro.trace.binfmt` is
-    # what the trace store uses; ``repro-trace convert`` moves between the
-    # two.
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the trace as JSON-lines (the debug format)."""
-        path = Path(path)
-        dirs = self._dirs
-        with path.open("w") as fh:
-            for kind, addr, pc, gap in zip(
-                self._kinds, self._addrs, self._pcs, self._gaps
-            ):
-                if kind == KIND_DIRECTIVE:
-                    op, args = dirs[addr]
-                    fh.write(json.dumps({"d": op, "a": list(args), "g": gap}))
-                else:
-                    fh.write(json.dumps({"k": kind, "x": addr, "p": pc, "g": gap}))
-                fh.write("\n")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Trace":
-        """Read a trace back from its JSON-lines form."""
-        path = Path(path)
-        trace = cls()
-        with path.open() as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if "d" in obj:
-                    trace.append_directive(obj["d"], tuple(obj["a"]), obj["g"])
-                else:
-                    trace.append_ref(obj["k"], obj["x"], obj["p"], obj["g"])
-        return trace

@@ -266,6 +266,8 @@ class Workload(abc.ABC):
             raise ValueError(
                 f"need >= 2 iterations (1 record + >=1 replay), got {iterations}"
             )
+        if window_size < 1:
+            raise ValueError(f"window size must be >= 1, got {window_size}")
         self.iterations = iterations
         self.window_size = window_size
         self.space: Optional[AddressSpace] = None
@@ -345,11 +347,10 @@ class Workload(abc.ABC):
         emitting a trace.
 
         When the trace store serves a recorded stream, :meth:`build_trace`
-        never runs, but the prefetcher data callbacks (DROPLET's
-        :meth:`edge_line_values`, IMP's :meth:`read_int`) still need the
-        region layout.  ``_allocate`` is deterministic — the same calls in
-        the same order as during recording — so the layout matches the
-        stored trace's addresses exactly.
+        never runs, but DROPLET's data callback (:meth:`edge_line_values`)
+        still needs the region layout.  ``_allocate`` is deterministic — the
+        same calls in the same order as during recording — so the layout
+        matches the stored trace's addresses exactly.
         """
         if self.space is None:
             self.space = AddressSpace()
@@ -362,11 +363,6 @@ class Workload(abc.ABC):
     def emit_droplet_descriptors(self) -> None:
         """Subclasses with an edge/vertex structure override this to emit
         ``droplet.edges`` / ``droplet.values`` directives."""
-
-    def read_int(self, address: int, elem_size: int) -> Optional[int]:
-        """IMP's value reader: fetch the integer stored at a simulated
-        address, if it falls in a known integer array."""
-        return None
 
     # ------------------------------------------------------------------
     def region(self, name: str) -> Region:

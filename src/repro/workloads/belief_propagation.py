@@ -185,12 +185,3 @@ class BeliefPropagationWorkload(Workload):
         first = (base_addr - reverse.base) // 4
         last = min(self.graph.num_edges, first + 16)
         return [int(r) for r in self._reverse[first:last]]
-
-    def read_int(self, address: int, elem_size: int):
-        """Integer stored at a simulated address (IMP's value reader)."""
-        reverse = self.region("reverse")
-        if reverse.contains(address) and elem_size == 4:
-            index = (address - reverse.base) // 4
-            if index < self.graph.num_edges:
-                return int(self._reverse[index])
-        return None

@@ -136,12 +136,3 @@ class HyperAnfWorkload(Workload):
         first = max(0, (base_addr - edges.base) // 8)
         last = min(self.graph.num_edges, first + LINE_SIZE // 8)
         return [int(dst) for _, dst in self.edge_pairs[first:last]]
-
-    def read_int(self, address: int, elem_size: int):
-        """Integer stored at a simulated address (IMP's value reader)."""
-        edges = self.region("edges")
-        if edges.contains(address):
-            index = (address - edges.base) // 8
-            if index < self.graph.num_edges:
-                return int(self.edge_pairs[index][1])
-        return None

@@ -148,12 +148,3 @@ class LabelPropagationWorkload(Workload):
         first = (base_addr - targets.base) // 4
         last = min(self.graph.num_edges, first + 16)
         return [int(v) for v in self.graph.targets[first:last]]
-
-    def read_int(self, address: int, elem_size: int):
-        """Integer stored at a simulated address (IMP's value reader)."""
-        targets = self.region("targets")
-        if targets.contains(address) and elem_size == 4:
-            index = (address - targets.base) // 4
-            if index < self.graph.num_edges:
-                return int(self.graph.targets[index])
-        return None

@@ -159,12 +159,3 @@ class PageRankWorkload(Workload):
         first = max(0, (base_addr - targets.base) // 4)
         last = min(self.in_graph.num_edges, first + LINE_SIZE // 4)
         return [int(v) for v in self.in_graph.targets[first:last]]
-
-    def read_int(self, address: int, elem_size: int):
-        """Integer stored at a simulated address (IMP's value reader)."""
-        targets = self.region("targets")
-        if targets.contains(address) and elem_size == 4:
-            index = (address - targets.base) // 4
-            if index < self.in_graph.num_edges:
-                return int(self.in_graph.targets[index])
-        return None

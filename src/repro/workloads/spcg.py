@@ -138,12 +138,3 @@ class SpCGWorkload(Workload):
     def rhs(self) -> np.ndarray:
         """The right-hand-side vector b."""
         return self._b
-
-    def read_int(self, address: int, elem_size: int):
-        """Integer stored at a simulated address (IMP's value reader)."""
-        indices = self.region("indices")
-        if indices.contains(address) and elem_size == 4:
-            index = (address - indices.base) // 4
-            if index < self.matrix.nnz:
-                return int(self.matrix.indices[index])
-        return None

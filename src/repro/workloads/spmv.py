@@ -83,12 +83,3 @@ class SpMVWorkload(Workload):
     def x(self) -> np.ndarray:
         """The dense input vector."""
         return self._x
-
-    def read_int(self, address: int, elem_size: int):
-        """Integer stored at a simulated address (IMP's value reader)."""
-        indices = self.region("indices")
-        if indices.contains(address) and elem_size == 4:
-            index = (address - indices.base) // 4
-            if index < self.matrix.nnz:
-                return int(self.matrix.indices[index])
-        return None

@@ -29,8 +29,6 @@ if importlib.util.find_spec("numpy") is None:
         "experiments/*",
     ]
     collect_ignore = [
-        "prefetchers/test_imp.py",
-        "trace/test_instrument.py",
         "sim/test_harness.py",
         "sim/test_spmd_multicore.py",
     ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.runner import (
     APPS,
+    CellSpec,
     ExperimentRunner,
     inputs_for,
     prefetchers_for,
@@ -53,6 +54,22 @@ class TestCaching:
         a = runner.run("pagerank", "urand", "rnr", window_size=8)
         b = runner.run("pagerank", "urand", "rnr", window_size=4)
         assert a is not b
+
+
+class TestWindowValidation:
+    """A window below 1 is rejected before any simulation."""
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_runner_window(self, window):
+        runner = ExperimentRunner(scale="test", window_size=window)
+        with pytest.raises(ValueError, match="window size must be >= 1"):
+            runner.run("pagerank", "urand", "rnr")
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_cell_spec_window(self, window):
+        runner = ExperimentRunner(scale="test")
+        with pytest.raises(ValueError, match="window size must be >= 1"):
+            runner.run_spec(CellSpec("pagerank", "urand", "rnr", window=window))
 
 
 class TestRuns:

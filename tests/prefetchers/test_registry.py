@@ -20,7 +20,6 @@ class TestRegistry:
             "bingo",
             "stems",
             "droplet",
-            "imp",
             "rnr",
             "rnr-combined",
         ):

@@ -109,6 +109,11 @@ class TestStateAndWindow:
         with pytest.raises(ValueError):
             rnr.window_size.set(0)
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_default_window_validated(self, window):
+        with pytest.raises(ValueError, match="window size must be >= 1"):
+            RnRInterface(TraceBuilder(), AddressSpace(), default_window=window)
+
 
 class TestLifetime:
     def test_dropping_the_interface_frees_the_builder(self):

@@ -20,10 +20,10 @@ two implementations interchangeable:
 * a 1-core :class:`MulticoreEngine` vs a plain :class:`SimulationEngine`
   on the same trace: exact equality (the merge scheduler degenerates to
   the single-core loop);
-* 1-, 2- and 4-core runs, including a mixed rnr/stream/imp/bare fleet
-  and a 2-core co-run for every registry prefetcher, fast vs straight:
-  exact equality (scheduling order and shared-controller contention are
-  part of the simulated result).
+* 1-, 2- and 4-core runs, including a mixed rnr/stream/rnr-combined/bare
+  fleet and a 2-core co-run for every registry prefetcher, fast vs
+  straight: exact equality (scheduling order and shared-controller
+  contention are part of the simulated result).
 """
 
 import pytest
@@ -177,7 +177,7 @@ class TestFastVsStraight:
         # The run must have exercised replay, not just recording.
         assert straight["rnr"]["struct_reads"] > 0
 
-    @pytest.mark.parametrize("name", ["rnr", "ghb", "imp"])
+    @pytest.mark.parametrize("name", ["rnr", "ghb", "rnr-combined"])
     @pytest.mark.parametrize("every", [64, 256, 1024])
     def test_context_switch_cadence(self, every, name, monkeypatch):
         # Each switch lands mid hit run: the fast loops flush their
@@ -294,8 +294,8 @@ class TestMulticoreParity:
         self.assert_fast_matches_straight(traces, [name, name], monkeypatch)
 
     def test_mixed_fleet_fast_vs_straight(self, monkeypatch):
-        # Hooked (rnr, imp), hook-free (stream), and bare cores mixed in
-        # one merge.
+        # Hooked (rnr, rnr-combined), hook-free (stream), and bare cores
+        # mixed in one merge.
         traces = [
             build_locality_trace(seed=23, accesses=3_000),
             build_parity_trace(seed=29, accesses=2_000),
@@ -303,5 +303,5 @@ class TestMulticoreParity:
             build_parity_trace(seed=37, accesses=2_000),
         ]
         self.assert_fast_matches_straight(
-            traces, ["rnr", "stream", "imp", None], monkeypatch
+            traces, ["rnr", "stream", "rnr-combined", None], monkeypatch
         )

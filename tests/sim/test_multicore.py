@@ -77,25 +77,7 @@ class TestMulticore:
 
 
 class TestTraceCoercion:
-    """run() accepts Trace, MappedTrace, str, and Path per core."""
-
-    def test_str_and_path_inputs(self, tmp_path):
-        from pathlib import Path
-
-        from repro.trace.binfmt import write_trace
-
-        config = SystemConfig.tiny(cores=2)
-        traces = [core_trace(0), core_trace(10_000)]
-        paths = [
-            write_trace(trace, tmp_path / f"core{i}.rnrt")
-            for i, trace in enumerate(traces)
-        ]
-        direct = MulticoreEngine(config).run(traces)
-        by_str = MulticoreEngine(config).run([str(p) for p in paths])
-        by_path = MulticoreEngine(config).run([Path(p) for p in paths])
-        want = [s.as_dict() for s in direct]
-        assert [s.as_dict() for s in by_str] == want
-        assert [s.as_dict() for s in by_path] == want
+    """run() takes Trace objects; a MappedTrace is one."""
 
     def test_mapped_trace_input(self, tmp_path):
         from repro.trace.binfmt import read_trace, write_trace
@@ -109,14 +91,4 @@ class TestTraceCoercion:
         direct = MulticoreEngine(config).run(traces)
         via_map = MulticoreEngine(config).run(mapped)
         assert [s.as_dict() for s in via_map] == \
-            [s.as_dict() for s in direct]
-
-    def test_record_iterable_input(self):
-        config = SystemConfig.tiny(cores=2)
-        traces = [core_trace(0), core_trace(10_000)]
-        direct = MulticoreEngine(config).run(traces)
-        via_records = MulticoreEngine(config).run(
-            [list(trace) for trace in traces]
-        )
-        assert [s.as_dict() for s in via_records] == \
             [s.as_dict() for s in direct]

@@ -4,8 +4,6 @@ Per-core traces are served through a :class:`~repro.trace.store.TraceStore`
 — built once per (iterations, rnr, window) combination, published to the
 content-addressed store, and mapped back as zero-copy ``MappedTrace``
 objects — exercising the same acquisition path the sweep harness uses.
-One test hands the engine the store's file *paths* instead, covering the
-str/Path coercion in :meth:`MulticoreEngine.run`.
 """
 
 import pytest
@@ -88,21 +86,3 @@ class TestSpmdOnMulticore:
                                window=4)
         results = engine.run(traces)
         assert all(stats.prefetch.issued > 0 for stats in results)
-
-    def test_store_paths_match_mapped_traces(self, graph, store):
-        """Passing the store's file paths yields identical results to
-        passing the mapped traces themselves."""
-        traces = served_traces(store, graph, iterations=2, rnr=True,
-                               window=4)
-        paths = [str(store._path(key))
-                 for key in store_keys(iterations=2, rnr=True, window=4)]
-
-        config = SystemConfig.tiny(cores=CORES)
-        by_trace = MulticoreEngine(
-            config, prefetchers=[make_prefetcher("rnr") for _ in range(CORES)]
-        ).run(traces)
-        by_path = MulticoreEngine(
-            config, prefetchers=[make_prefetcher("rnr") for _ in range(CORES)]
-        ).run(paths)
-        assert [s.as_dict() for s in by_path] == \
-            [s.as_dict() for s in by_trace]

@@ -6,10 +6,9 @@ critically for the store's degradation path — that truncation and bit
 flips are rejected deterministically by the framing checks instead of
 feeding a corrupted stream to the simulator.
 
-The property test is the format's contract with ``Trace.save``/``load``:
-any trace expressible in the JSON-lines debug format round-trips
-identically through the binary format too (both mapped and eager), so
-``repro-trace convert`` is lossless in both directions.
+The property test is the format's contract with :class:`Trace`: any
+trace whose directive args are JSON values round-trips identically
+through both loads, mapped and eager.
 """
 
 
@@ -20,8 +19,6 @@ from repro.trace import binfmt
 from repro.trace.binfmt import (
     MappedTrace,
     TraceFormatError,
-    is_binary_trace,
-    load_any,
     read_trace,
     write_trace,
 )
@@ -114,23 +111,20 @@ class TestRoundTrip:
         )
     )
     def test_round_trip_property_both_formats(self, entries):
-        """Refs, directives with args, and gaps survive both formats."""
+        """Refs, directives with args, and gaps survive both loads."""
         import tempfile
         from pathlib import Path
 
         trace = Trace(entries)
         with tempfile.TemporaryDirectory() as tmp:
             bin_path = Path(tmp) / "t.rnrt"
-            json_path = Path(tmp) / "t.jsonl"
             write_trace(trace, bin_path)
-            trace.save(json_path)
             mapped = read_trace(bin_path)
             eager = read_trace(bin_path, map=False)
-            debug = Trace.load(json_path)
             assert list(mapped) == entries
             assert list(eager) == entries
-            assert list(debug) == entries
             assert mapped.instructions == trace.instructions
+            assert eager.instructions == trace.instructions
             mapped.close()
 
 
@@ -143,16 +137,6 @@ class TestMappedTraceContract:
         with pytest.raises(TypeError):
             loaded.append_directive("iter.begin", (1,))
         loaded.close()
-
-    def test_materialize_detaches(self, tmp_path):
-        trace = sample_trace()
-        path = write_trace(trace, tmp_path / "t.rnrt")
-        loaded = read_trace(path)
-        copy = loaded.materialize()
-        loaded.close()  # views released; the copy must stay usable
-        assert list(copy) == list(trace)
-        copy.append_ref(KIND_LOAD, 0x2000, 0x500)  # and writable again
-        assert len(copy) == len(trace) + 1
 
     def test_close_is_idempotent(self, tmp_path):
         path = write_trace(sample_trace(), tmp_path / "t.rnrt")
@@ -217,31 +201,6 @@ class TestCorruption:
         clobber_directive_table(path)
         with pytest.raises(TraceFormatError, match="directive table"):
             read_trace(path, map=True)
-
-
-class TestLoadAny:
-    def test_sniffs_binary(self, tmp_path):
-        trace = sample_trace()
-        path = write_trace(trace, tmp_path / "t.dat")  # suffix irrelevant
-        assert is_binary_trace(path)
-        loaded = load_any(path)
-        assert isinstance(loaded, MappedTrace)
-        assert list(loaded) == list(trace)
-        loaded.close()
-
-    def test_sniffs_jsonl(self, tmp_path):
-        trace = sample_trace()
-        path = tmp_path / "t.jsonl"
-        trace.save(path)
-        assert not is_binary_trace(path)
-        loaded = load_any(path)
-        assert not isinstance(loaded, MappedTrace)
-        assert list(loaded) == list(trace)
-
-    def test_missing_file(self, tmp_path):
-        assert not is_binary_trace(tmp_path / "absent.rnrt")
-        with pytest.raises(OSError):
-            load_any(tmp_path / "absent.rnrt")
 
 
 class TestAtomicity:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.trace.__main__ import main
+from repro.trace.binfmt import write_trace
 from repro.trace.builder import TraceBuilder
 
 
@@ -14,9 +15,7 @@ def trace_file(tmp_path):
     builder.load(0x1000, pc=0x10)
     builder.store(0x2000, pc=0x20)
     builder.iter_end(0)
-    path = tmp_path / "t.jsonl"
-    builder.build().save(path)
-    return path
+    return write_trace(builder.build(), tmp_path / "t.rnrt")
 
 
 class TestStats:
@@ -41,45 +40,6 @@ class TestDump:
         assert "LOAD" in out and "STORE" in out
 
 
-class TestConvert:
-    def test_jsonl_to_binary_and_back(self, trace_file, tmp_path, capsys):
-        from repro.trace.binfmt import is_binary_trace
-        from repro.trace.trace import Trace
-
-        bin_path = tmp_path / "t.rnrt"
-        assert main(["convert", str(trace_file), str(bin_path)]) == 0
-        assert is_binary_trace(bin_path)
-        assert "(bin)" in capsys.readouterr().out
-
-        back = tmp_path / "back.jsonl"
-        assert main(["convert", str(bin_path), str(back)]) == 0
-        assert "(json)" in capsys.readouterr().out
-        assert list(Trace.load(back)) == list(Trace.load(trace_file))
-
-    def test_explicit_format_overrides_suffix(self, trace_file, tmp_path):
-        from repro.trace.binfmt import is_binary_trace
-
-        dest = tmp_path / "t.jsonl"  # binary despite the suffix
-        assert main(["convert", str(trace_file), str(dest), "--format", "bin"]) == 0
-        assert is_binary_trace(dest)
-
-    def test_stats_reads_converted_binary(self, trace_file, tmp_path, capsys):
-        bin_path = tmp_path / "t.rnrt"
-        main(["convert", str(trace_file), str(bin_path)])
-        capsys.readouterr()
-        assert main(["stats", str(bin_path)]) == 0
-        out = capsys.readouterr().out
-        assert "loads:         1" in out
-        assert "stores:        1" in out
-
-    def test_diff_across_formats(self, trace_file, tmp_path, capsys):
-        bin_path = tmp_path / "t.rnrt"
-        main(["convert", str(trace_file), str(bin_path)])
-        capsys.readouterr()
-        assert main(["diff", str(trace_file), str(bin_path)]) == 0
-        assert "identical" in capsys.readouterr().out
-
-
 class TestDiff:
     def test_identical(self, trace_file, capsys):
         assert main(["diff", str(trace_file), str(trace_file)]) == 0
@@ -88,7 +48,6 @@ class TestDiff:
     def test_divergent(self, trace_file, tmp_path, capsys):
         builder = TraceBuilder()
         builder.load(0x9999, pc=0x10)
-        other = tmp_path / "o.jsonl"
-        builder.build().save(other)
+        other = write_trace(builder.build(), tmp_path / "o.rnrt")
         assert main(["diff", str(trace_file), str(other)]) == 1
         assert "divergence" in capsys.readouterr().out

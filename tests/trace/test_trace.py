@@ -1,7 +1,5 @@
 """Tests for the Trace container."""
 
-from hypothesis import given, strategies as st
-
 from repro.trace.record import KIND_LOAD, KIND_STORE, Directive, TraceRecord
 from repro.trace.trace import Trace
 
@@ -59,43 +57,3 @@ class TestPackedIterator:
         via_columns = Trace()
         via_columns.append_ref(KIND_LOAD, 0x200, 0x9, 4)
         assert list(via_objects) == list(via_columns)
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        trace = sample_trace()
-        path = tmp_path / "trace.jsonl"
-        trace.save(path)
-        loaded = Trace.load(path)
-        assert list(loaded) == list(trace)
-
-    @given(
-        st.lists(
-            st.one_of(
-                st.builds(
-                    TraceRecord,
-                    st.sampled_from([KIND_LOAD, KIND_STORE]),
-                    st.integers(min_value=0, max_value=1 << 40),
-                    st.integers(min_value=0, max_value=1 << 16),
-                    st.integers(min_value=0, max_value=100),
-                ),
-                st.builds(
-                    Directive,
-                    st.sampled_from(["iter.begin", "rnr.state.start", "x.y"]),
-                    st.tuples(st.integers(min_value=0, max_value=1 << 30)),
-                ),
-            ),
-            max_size=50,
-        )
-    )
-    def test_round_trip_property(self, entries):
-        import tempfile
-        from pathlib import Path
-
-        trace = Trace(entries)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.jsonl"
-            trace.save(path)
-            loaded = Trace.load(path)
-        assert list(loaded) == entries
-        assert loaded.instructions == trace.instructions

@@ -83,9 +83,3 @@ class TestCallbacks:
         values = workload.edge_line_values(edges.base // 64)
         expected = [int(dst) for _, dst in workload.edge_pairs[:8]]
         assert values == expected
-
-    def test_read_int(self, graph):
-        workload = HyperAnfWorkload(graph, iterations=2)
-        workload.build_trace(rnr=False)
-        edges = workload.region("edges")
-        assert workload.read_int(edges.base, 4) == int(workload.edge_pairs[0][1])

@@ -105,15 +105,6 @@ class TestCallbacks:
         values = workload.edge_line_values(targets.base // 64)
         assert values == [int(v) for v in workload.in_graph.targets[:16]]
 
-    def test_read_int(self, graph):
-        workload = PageRankWorkload(graph, iterations=2)
-        workload.build_trace(rnr=False)
-        targets = workload.region("targets")
-        assert workload.read_int(targets.base + 4, 4) == int(
-            workload.in_graph.targets[1]
-        )
-        assert workload.read_int(0, 4) is None
-
     def test_input_bytes(self, graph):
         workload = PageRankWorkload(graph, iterations=2)
         assert workload.input_bytes > graph.num_edges * 4

@@ -90,9 +90,3 @@ class TestTraceShape:
             elif current is not None and entry.kind == KIND_LOAD and entry.pc == PC_GATHER:
                 current.append(entry.addr)
         assert per_iter[0] == per_iter[1]
-
-    def test_read_int_reads_indices(self, matrix):
-        workload = SpCGWorkload(matrix, iterations=2)
-        workload.build_trace(rnr=False)
-        indices = workload.region("indices")
-        assert workload.read_int(indices.base, 4) == int(matrix.indices[0])
