@@ -129,9 +129,9 @@ class TestLoopDispatch:
 
 
 def _counting(name, loop, calls):
-    def wrapped(self, trace):
+    def wrapped(self, *args):
         calls.append(name)
-        return loop(self, trace)
+        return loop(self, *args)
 
     return wrapped
 
