@@ -77,7 +77,8 @@ class _PrefetchState:
         self._emit("rnr.state.resume")
 
     def end(self) -> None:
-        """One past the last byte of the region."""
+        """Emit ``rnr.state.end``: the prefetcher stops recording or
+        replaying and returns to IDLE."""
         self._emit("rnr.state.end")
 
 

@@ -92,7 +92,7 @@ class PrefetchStateMachine:
         return self._apply("resume")
 
     def end(self) -> PrefetchState:
-        """One past the last byte of the region."""
+        """Move to IDLE from any state."""
         return self._apply("end")
 
     # -- queries -------------------------------------------------------------

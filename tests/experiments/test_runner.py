@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments.runner import (
-    APPS,
     CellSpec,
     ExperimentRunner,
     inputs_for,

@@ -1,9 +1,8 @@
 """Tests for the Hyper-ANF workload."""
 
-import numpy as np
 import pytest
 
-from repro.graphs.generators import road_network, uniform_random
+from repro.graphs.generators import uniform_random
 from repro.trace.record import KIND_LOAD
 from repro.workloads.hyperanf import PC_GATHER, HyperAnfWorkload
 
