@@ -9,7 +9,7 @@ from repro.sparse.generators import (
     kkt_system,
     stencil_3d,
 )
-from repro.sparse.cg import CGResult, conjugate_gradient, preconditioned_conjugate_gradient
+from repro.sparse.cg import CGResult, conjugate_gradient
 from repro.sparse import datasets
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "CSRMatrix",
     "banded_random",
     "conjugate_gradient",
-    "preconditioned_conjugate_gradient",
     "contact_map",
     "datasets",
     "kkt_system",

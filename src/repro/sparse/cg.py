@@ -61,63 +61,3 @@ def conjugate_gradient(
         rs_old = rs_new
 
     return CGResult(x, max_iterations, False, residuals)
-
-
-def _diagonal(matrix: CSRMatrix) -> np.ndarray:
-    """Extract the diagonal of a square CSR matrix."""
-    diag = np.zeros(matrix.num_rows)
-    for i in range(matrix.num_rows):
-        cols, vals = matrix.row(i)
-        hits = np.nonzero(cols == i)[0]
-        if hits.size:
-            diag[i] = vals[hits[0]]
-    return diag
-
-
-def preconditioned_conjugate_gradient(
-    matrix: CSRMatrix,
-    b: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: int = 500,
-) -> CGResult:
-    """Jacobi-preconditioned CG (the HPCG [20] flavour of spCG).
-
-    A diagonal preconditioner costs one extra dense stream per iteration
-    and typically cuts the iteration count on badly-scaled systems — the
-    solver variant the paper's Adept benchmark family includes.
-    """
-    if matrix.num_rows != matrix.num_cols:
-        raise ValueError(f"CG needs a square matrix, got {matrix.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.size != matrix.num_rows:
-        raise ValueError(f"b has {b.size} entries, need {matrix.num_rows}")
-    diag = _diagonal(matrix)
-    if np.any(diag <= 0.0):
-        raise ValueError("Jacobi preconditioner needs a positive diagonal")
-    inv_diag = 1.0 / diag
-
-    x = np.zeros_like(b)
-    r = b - matrix.spmv(x)
-    z = inv_diag * r
-    p = z.copy()
-    rz_old = float(r @ z)
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    residuals = [float(np.linalg.norm(r)) / b_norm]
-
-    for iteration in range(1, max_iterations + 1):
-        ap = matrix.spmv(p)
-        denominator = float(p @ ap)
-        if denominator <= 0.0:
-            return CGResult(x, iteration - 1, False, residuals)
-        alpha = rz_old / denominator
-        x = x + alpha * p
-        r = r - alpha * ap
-        residuals.append(float(np.linalg.norm(r)) / b_norm)
-        if residuals[-1] <= tol:
-            return CGResult(x, iteration, True, residuals)
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz_old) * p
-        rz_old = rz_new
-
-    return CGResult(x, max_iterations, False, residuals)

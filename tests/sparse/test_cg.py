@@ -76,45 +76,3 @@ class TestProperties:
         result = conjugate_gradient(matrix, b, tol=1e-9, max_iterations=400)
         assert result.converged
         assert min(result.residuals) <= 1e-9
-
-
-class TestPreconditionedCG:
-    def test_solves_and_matches_plain_cg(self):
-        import numpy as np
-        from repro.sparse.cg import preconditioned_conjugate_gradient
-
-        matrix = stencil_3d(5, 5, 5)
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal(125)
-        result = preconditioned_conjugate_gradient(matrix, b, tol=1e-10)
-        assert result.converged
-        assert np.allclose(matrix.spmv(result.x), b, atol=1e-6)
-
-    def test_helps_on_badly_scaled_system(self):
-        import numpy as np
-        from repro.sparse.cg import preconditioned_conjugate_gradient
-        from repro.sparse.csr_matrix import CSRMatrix
-
-        rng = np.random.default_rng(5)
-        n = 60
-        factor = rng.standard_normal((n, n))
-        spd = factor @ factor.T + n * np.eye(n)
-        scales = 10.0 ** rng.uniform(-2, 2, size=n)
-        badly_scaled = CSRMatrix.from_dense(spd * np.outer(scales, scales))
-        b = rng.standard_normal(n)
-        plain = conjugate_gradient(badly_scaled, b, tol=1e-8, max_iterations=4000)
-        jacobi = preconditioned_conjugate_gradient(
-            badly_scaled, b, tol=1e-8, max_iterations=4000
-        )
-        assert jacobi.converged
-        assert jacobi.iterations < plain.iterations
-
-    def test_rejects_nonpositive_diagonal(self):
-        import numpy as np
-        import pytest as _pytest
-        from repro.sparse.cg import preconditioned_conjugate_gradient
-        from repro.sparse.csr_matrix import CSRMatrix
-
-        bad = CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        with _pytest.raises(ValueError):
-            preconditioned_conjugate_gradient(bad, np.ones(2))
