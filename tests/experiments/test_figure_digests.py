@@ -10,13 +10,13 @@ meant to alter simulated statistics).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.runner import ExperimentRunner
+from tests.helpers import stats_digest
 
 GOLDEN = Path(__file__).resolve().parents[2] / "perfbench" / "golden.json"
 
@@ -50,6 +50,4 @@ def runner():
 @pytest.mark.parametrize("cell,expected", CELLS, ids=[cell for cell, _ in CELLS])
 def test_cell_digest_matches_golden(runner, cell, expected):
     app, input_name, prefetcher = cell.split("/")
-    stats = runner.run(app, input_name, prefetcher).stats
-    blob = json.dumps(stats.as_dict(), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == expected
+    assert stats_digest(runner.run(app, input_name, prefetcher).stats) == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import zlib
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -11,6 +13,13 @@ from repro.config import SystemConfig
 from repro.mem.controller import MemoryController
 from repro.stats import SimStats
 from repro.trace import binfmt
+
+
+def stats_digest(stats: SimStats) -> str:
+    """sha256 of the canonical JSON of ``stats.as_dict()`` (the digest
+    ``perfbench/golden.json`` holds)."""
+    blob = json.dumps(stats.as_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def make_hierarchy(
